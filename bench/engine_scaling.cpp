@@ -4,18 +4,14 @@
 //   1. Window growth: ValkyrieEngine::step() cost as the accumulated
 //      measurement window grows (target: ns/epoch flat in window length,
 //      i.e. O(1) per-epoch inference — the PR 1 contract).
-//   2. Shard sweep: ns/epoch across a process-count x worker-thread x
-//      step-schedule grid (8..4096 processes, 1..8 threads; fused vs.
-//      split vs. batched dispatch), measuring the sharded step's speedup
-//      over the sequential path (PR 2), the fused single-dispatch
-//      schedule's gain over the split schedule (PR 3), and the cross-slot
-//      batched-inference schedule's gain over fused (PR 4, reported as
-//      batch_speedup on the batched rows). Every variant is bit-identical
-//      to the sequential engine, so this is pure throughput. Each row also
+//   2. Shard sweep: ns/epoch across a process-count x worker-thread grid
+//      (8..4096 processes, 1..8 threads), measuring the sharded step's
+//      speedup over the sequential path. Every row is bit-identical to
+//      the sequential engine, so this is pure throughput. Each row also
 //      records the schedule executions per epoch — pool dispatches PLUS
-//      inline runs, so single-shard rows report the true schedule (fused/
-//      batched: 1, split: 2) instead of the 0.0 the dispatch counter alone
-//      used to under-report — plus an `inline` flag for single-shard rows.
+//      inline runs, so single-shard rows report the true schedule (1 per
+//      epoch) instead of the 0.0 the dispatch counter alone used to
+//      under-report — plus an `inline` flag for single-shard rows.
 //   3. Batch kernels: scalar-vs-batch per-item cost of the shipped
 //      detector kernels (MLP window inference, SVM/GBT/stat measurement
 //      votes) over a feature plane at batch sizes 16/256/4096, recording
@@ -85,19 +81,6 @@ namespace {
 
 using namespace valkyrie;
 using Clock = std::chrono::steady_clock;
-using StepMode = core::ValkyrieEngine::StepMode;
-
-const char* mode_name(StepMode mode) {
-  switch (mode) {
-    case StepMode::kFused:
-      return "fused";
-    case StepMode::kSplit:
-      return "split";
-    case StepMode::kBatched:
-      return "batched";
-  }
-  return "unknown";
-}
 
 struct Point {
   std::uint64_t epoch;
@@ -143,16 +126,15 @@ struct SweepPoint {
   std::size_t processes;
   std::size_t threads;         // requested
   std::size_t effective_shards;  // after the engine's hardware clamp
-  StepMode mode;
   double ns_per_epoch;
   double ns_per_proc_epoch;
   double dispatches_per_epoch;  // schedule executions (incl. inline runs)
 };
 
 SweepPoint run_sweep_point(const ml::Detector& detector, std::size_t processes,
-                           std::size_t threads, StepMode mode) {
+                           std::size_t threads) {
   sim::SimSystem sys;
-  core::ValkyrieEngine engine(sys, detector, threads, mode);
+  core::ValkyrieEngine engine(sys, detector, threads);
   for (std::size_t p = 0; p < processes; ++p) {
     const sim::ProcessId pid = sys.spawn(std::make_unique<bench::SignatureWorkload>(
         bench::engine_bench_benign_signature()));
@@ -173,8 +155,8 @@ SweepPoint run_sweep_point(const ml::Detector& detector, std::size_t processes,
   for (std::uint64_t i = 0; i < warmup; ++i) engine.step();
 
   // schedule_run_count counts inline executions too, so a single-shard run
-  // reports its real schedule (fused/batched: 1 per epoch, split: 2)
-  // instead of the dispatch counter's misleading 0.
+  // reports its real schedule (1 per epoch) instead of the dispatch
+  // counter's misleading 0.
   const std::uint64_t runs_before = engine.schedule_run_count();
   double best_ns = 0.0;
   for (std::uint64_t r = 0; r < kRepeats; ++r) {
@@ -194,7 +176,6 @@ SweepPoint run_sweep_point(const ml::Detector& detector, std::size_t processes,
   return {processes,
           threads,
           engine.shard_count(),
-          mode,
           best_ns,
           best_ns / static_cast<double>(processes),
           dispatches};
@@ -219,7 +200,6 @@ struct ChurnPoint {
   std::size_t target_live;
   double arrival_rate;
   std::size_t threads;
-  StepMode mode;
   double ns_per_epoch;
   double ns_per_proc_epoch;
   double mean_live;
@@ -229,10 +209,10 @@ struct ChurnPoint {
 
 ChurnPoint run_churn_point(const ml::Detector& detector,
                            std::size_t target_live, double arrival_rate,
-                           std::size_t threads, StepMode mode, bool smoke,
+                           std::size_t threads, bool smoke,
                            const fault::FaultPlane* plane = nullptr) {
   sim::SimSystem sys;
-  core::ValkyrieEngine engine(sys, detector, threads, mode);
+  core::ValkyrieEngine engine(sys, detector, threads);
   if (plane != nullptr) engine.arm_faults(plane);
 
   sim::ScenarioScript script;
@@ -303,9 +283,8 @@ ChurnPoint run_churn_point(const ml::Detector& detector,
                           (before.driver_kills + before.completed +
                            before.policy_kills)) /
       measured;
-  return {target_live, arrival_rate, threads,
-          mode,        best_ns,      best_ns / best_mean_live,
-          mean_live,   admissions,   exits};
+  return {target_live, arrival_rate, threads,    best_ns,
+          best_ns / best_mean_live, mean_live, admissions, exits};
 }
 
 // --- Snapshot measurements ---------------------------------------------------
@@ -378,7 +357,7 @@ SnapshotPoint run_snapshot_point(const ml::Detector& detector,
 // Scalar-vs-batch per-item cost of one detector family over a synthetic
 // feature plane: the scalar side walks the per-process streaming path (one
 // WindowSummary / one measurement vote per column), the batch side issues
-// the single plane-sweep call the batched engine schedule issues per shard.
+// the single plane-sweep call the engine step issues per shard.
 
 struct KernelRow {
   const char* detector;
@@ -899,7 +878,7 @@ std::vector<BreakdownRow> run_sim_breakdown(const ml::MlpDetector& detector,
   }
 
   // Batch inference over a populated plane (the per-epoch detector cost the
-  // batched schedule pays per live slot).
+  // engine step pays per live slot).
   {
     const bench::BatchPlane bp = bench::make_batch_plane(n);
     std::vector<ml::Inference> out(n);
@@ -929,10 +908,10 @@ std::vector<BreakdownRow> run_sim_breakdown(const ml::MlpDetector& detector,
                     })});
   }
 
-  // Reference: one full single-thread batched engine step.
+  // Reference: one full single-thread engine step.
   {
     sim::SimSystem sys;
-    core::ValkyrieEngine engine(sys, detector, 1, StepMode::kBatched);
+    core::ValkyrieEngine engine(sys, detector, 1);
     for (std::size_t c = 0; c < n; ++c) {
       const sim::ProcessId pid =
           sys.spawn(std::make_unique<bench::SignatureWorkload>(sig));
@@ -1003,8 +982,7 @@ SimFastTriple run_sim_fast(const ml::Detector& detector,
       // process).
       w.sys->enable_bounded_history(32);
     }
-    w.engine = std::make_unique<core::ValkyrieEngine>(*w.sys, d, 1,
-                                                      StepMode::kBatched);
+    w.engine = std::make_unique<core::ValkyrieEngine>(*w.sys, d, 1);
     for (std::size_t p = 0; p < processes; ++p) {
       const sim::ProcessId pid =
           w.sys->spawn(std::make_unique<bench::SignatureWorkload>(
@@ -1109,10 +1087,10 @@ std::vector<EfficacyRow> run_tier_efficacy(bool smoke) {
 
 double run_fault_ns(const ml::Detector& detector,
                     const fault::FaultPlane* plane, std::size_t processes,
-                    std::size_t threads, StepMode mode, bool smoke,
+                    std::size_t threads, bool smoke,
                     core::ValkyrieEngine::FaultHealth* health) {
   sim::SimSystem sys;
-  core::ValkyrieEngine engine(sys, detector, threads, mode);
+  core::ValkyrieEngine engine(sys, detector, threads);
   if (plane != nullptr) engine.arm_faults(plane);
   for (std::size_t p = 0; p < processes; ++p) {
     const sim::ProcessId pid =
@@ -1541,10 +1519,7 @@ int main(int argc, char** argv) {
   sample_section_rss("series");
   json += "\n  ],\n  \"sweep\": [\n";
 
-  // Shard sweep: step-schedule x thread-count x process-count grid. The
-  // split rows keep the PR 2 two-dispatch schedule measurable next to the
-  // fused rows, and the batched rows record the cross-slot batch-inference
-  // gain over fused (batch_speedup) at identical configurations.
+  // Shard sweep: thread-count x process-count grid.
   std::vector<std::size_t> sweep_processes = {8, 64, 256, 1024, 4096};
   if (smoke) sweep_processes = {8, 64};
   std::vector<std::size_t> sweep_threads;
@@ -1553,100 +1528,73 @@ int main(int argc, char** argv) {
   if (sweep_threads.back() != max_threads) sweep_threads.push_back(max_threads);
   bool first_point = true;
   for (const std::size_t processes : sweep_processes) {
-    // ns_per_epoch of the fused row at the same thread count, for the
-    // batched rows' batch_speedup field (fused runs first).
-    std::vector<double> fused_ns(sweep_threads.size(), 0.0);
-    for (const StepMode mode :
-         {StepMode::kFused, StepMode::kSplit, StepMode::kBatched}) {
-      double baseline_ns = 0.0;
-      for (std::size_t ti = 0; ti < sweep_threads.size(); ++ti) {
-        const std::size_t threads = sweep_threads[ti];
-        const SweepPoint p = run_sweep_point(detector, processes, threads, mode);
-        if (threads == 1) baseline_ns = p.ns_per_epoch;
-        if (mode == StepMode::kFused) fused_ns[ti] = p.ns_per_epoch;
-        const double speedup =
-            baseline_ns > 0.0 ? baseline_ns / p.ns_per_epoch : 0.0;
-        if (!first_point) json += ",\n";
-        first_point = false;
-        char buf[384];
-        std::snprintf(buf, sizeof(buf),
-                      "    {\"processes\": %zu, \"threads\": %zu, "
-                      "\"effective_shards\": %zu, "
-                      "\"mode\": \"%s\", \"ns_per_epoch\": %.1f, "
-                      "\"ns_per_proc_epoch\": %.1f, \"speedup\": %.2f, "
-                      "\"dispatches_per_epoch\": %.1f, \"inline\": %s",
-                      p.processes, p.threads, p.effective_shards,
-                      mode_name(mode), p.ns_per_epoch, p.ns_per_proc_epoch,
-                      speedup, p.dispatches_per_epoch,
-                      p.effective_shards == 1 ? "true" : "false");
-        json += buf;
-        double batch_speedup = 0.0;
-        if (mode == StepMode::kBatched && p.ns_per_epoch > 0.0) {
-          batch_speedup = fused_ns[ti] / p.ns_per_epoch;
-          std::snprintf(buf, sizeof(buf), ", \"batch_speedup\": %.2f",
-                        batch_speedup);
-          json += buf;
-        }
-        json += "}";
-        std::printf(
-            "processes=%zu threads=%zu (shards=%zu) %s: %.0f ns/epoch  "
-            "%.1f ns/proc/epoch  speedup %.2fx  %.1f dispatches/epoch",
-            p.processes, p.threads, p.effective_shards, mode_name(mode),
-            p.ns_per_epoch, p.ns_per_proc_epoch, speedup,
-            p.dispatches_per_epoch);
-        if (mode == StepMode::kBatched) {
-          std::printf("  batch_speedup %.2fx", batch_speedup);
-        }
-        std::printf("\n");
-      }
+    double baseline_ns = 0.0;
+    for (const std::size_t threads : sweep_threads) {
+      const SweepPoint p = run_sweep_point(detector, processes, threads);
+      if (threads == 1) baseline_ns = p.ns_per_epoch;
+      const double speedup =
+          baseline_ns > 0.0 ? baseline_ns / p.ns_per_epoch : 0.0;
+      if (!first_point) json += ",\n";
+      first_point = false;
+      char buf[384];
+      std::snprintf(buf, sizeof(buf),
+                    "    {\"processes\": %zu, \"threads\": %zu, "
+                    "\"effective_shards\": %zu, \"ns_per_epoch\": %.1f, "
+                    "\"ns_per_proc_epoch\": %.1f, \"speedup\": %.2f, "
+                    "\"dispatches_per_epoch\": %.1f, \"inline\": %s}",
+                    p.processes, p.threads, p.effective_shards,
+                    p.ns_per_epoch, p.ns_per_proc_epoch, speedup,
+                    p.dispatches_per_epoch,
+                    p.effective_shards == 1 ? "true" : "false");
+      json += buf;
+      std::printf(
+          "processes=%zu threads=%zu (shards=%zu): %.0f ns/epoch  "
+          "%.1f ns/proc/epoch  speedup %.2fx  %.1f dispatches/epoch\n",
+          p.processes, p.threads, p.effective_shards, p.ns_per_epoch,
+          p.ns_per_proc_epoch, speedup, p.dispatches_per_epoch);
     }
   }
   sample_section_rss("sweep");
   json += "\n  ],\n  \"churn\": [\n";
 
   // Churn sweep: open population, arrivals/exits balanced at the target
-  // live count. The batched schedule is the production default; the fused
-  // rows isolate what the lifecycle costs without batch inference.
+  // live count.
   std::vector<std::size_t> churn_live = {1024, 4096};
   std::vector<double> churn_rate_div = {128.0, 32.0};  // rate = live / div
-  std::vector<StepMode> churn_modes = {StepMode::kFused, StepMode::kBatched};
   std::vector<std::size_t> churn_threads = {1};
   if (max_threads > 1) churn_threads.push_back(max_threads);
   if (smoke) {
     churn_live = {1024};
     churn_rate_div = {64.0};
-    churn_modes = {StepMode::kBatched};
     churn_threads = {max_threads};
   }
   bool first_churn = true;
   for (const std::size_t live : churn_live) {
     for (const double div : churn_rate_div) {
       const double rate = static_cast<double>(live) / div;
-      for (const StepMode mode : churn_modes) {
-        for (const std::size_t threads : churn_threads) {
-          const ChurnPoint p =
-              run_churn_point(detector, live, rate, threads, mode, smoke);
-          if (!first_churn) json += ",\n";
-          first_churn = false;
-          char buf[384];
-          std::snprintf(
-              buf, sizeof(buf),
-              "    {\"target_live\": %zu, \"arrival_rate\": %.1f, "
-              "\"threads\": %zu, \"mode\": \"%s\", \"ns_per_epoch\": %.1f, "
-              "\"ns_per_proc_epoch\": %.1f, \"mean_live\": %.1f, "
-              "\"admissions_per_epoch\": %.2f, \"exits_per_epoch\": %.2f}",
-              p.target_live, p.arrival_rate, p.threads, mode_name(p.mode),
-              p.ns_per_epoch, p.ns_per_proc_epoch, p.mean_live,
-              p.admissions_per_epoch, p.exits_per_epoch);
-          json += buf;
-          std::printf(
-              "churn live=%zu rate=%.1f/epoch threads=%zu %s: %.0f ns/epoch  "
-              "%.1f ns/proc/epoch  mean_live %.0f  %.2f admissions/epoch  "
-              "%.2f exits/epoch\n",
-              p.target_live, p.arrival_rate, p.threads, mode_name(p.mode),
-              p.ns_per_epoch, p.ns_per_proc_epoch, p.mean_live,
-              p.admissions_per_epoch, p.exits_per_epoch);
-        }
+      for (const std::size_t threads : churn_threads) {
+        const ChurnPoint p =
+            run_churn_point(detector, live, rate, threads, smoke);
+        if (!first_churn) json += ",\n";
+        first_churn = false;
+        char buf[384];
+        std::snprintf(
+            buf, sizeof(buf),
+            "    {\"target_live\": %zu, \"arrival_rate\": %.1f, "
+            "\"threads\": %zu, \"ns_per_epoch\": %.1f, "
+            "\"ns_per_proc_epoch\": %.1f, \"mean_live\": %.1f, "
+            "\"admissions_per_epoch\": %.2f, \"exits_per_epoch\": %.2f}",
+            p.target_live, p.arrival_rate, p.threads, p.ns_per_epoch,
+            p.ns_per_proc_epoch, p.mean_live, p.admissions_per_epoch,
+            p.exits_per_epoch);
+        json += buf;
+        std::printf(
+            "churn live=%zu rate=%.1f/epoch threads=%zu: %.0f ns/epoch  "
+            "%.1f ns/proc/epoch  mean_live %.0f  %.2f admissions/epoch  "
+            "%.2f exits/epoch\n",
+            p.target_live, p.arrival_rate, p.threads, p.ns_per_epoch,
+            p.ns_per_proc_epoch, p.mean_live, p.admissions_per_epoch,
+            p.exits_per_epoch);
       }
     }
   }
@@ -1723,7 +1671,7 @@ int main(int argc, char** argv) {
 
   // The sim-floor A/B: stock system vs the bit-exact perf configuration
   // (plane fold + counter RNG + bounded ring) vs perf + the fast inference
-  // tier, single-thread batched so the per-process floor is what's timed.
+  // tier, single-thread so the per-process floor is what's timed.
   {
     std::vector<std::size_t> fast_procs = {1024, 4096};
     if (smoke) fast_procs = {256};
@@ -1792,7 +1740,6 @@ int main(int argc, char** argv) {
   {
     const std::size_t fault_procs = smoke ? 256 : 1024;
     const std::size_t fault_threads = max_threads;
-    const StepMode fault_mode = StepMode::kBatched;
 
     fault::FaultPlane idle(0xbe9c);
     fault::FaultPlane sensor1(0xbe9c);
@@ -1818,8 +1765,8 @@ int main(int argc, char** argv) {
     for (const OverheadRow& row : overhead_rows) {
       core::ValkyrieEngine::FaultHealth health{};
       const double ns =
-          run_fault_ns(detector, row.plane, fault_procs, fault_threads,
-                       fault_mode, smoke, &health);
+          run_fault_ns(detector, row.plane, fault_procs, fault_threads, smoke,
+                       &health);
       if (row.plane == nullptr) baseline_ns = ns;
       const double overhead =
           baseline_ns > 0.0 ? ns / baseline_ns - 1.0 : 0.0;
@@ -1829,17 +1776,17 @@ int main(int argc, char** argv) {
       std::snprintf(
           buf, sizeof(buf),
           "    {\"scenario\": \"%s\", \"processes\": %zu, \"threads\": %zu, "
-          "\"mode\": \"%s\", \"ns_per_proc_epoch\": %.1f, "
+          "\"ns_per_proc_epoch\": %.1f, "
           "\"overhead_pct\": %.1f, \"coasted\": %llu, \"blind\": %llu}",
-          row.scenario, fault_procs, fault_threads, mode_name(fault_mode),
+          row.scenario, fault_procs, fault_threads,
           ns / static_cast<double>(fault_procs), overhead * 100.0,
           static_cast<unsigned long long>(health.coasted),
           static_cast<unsigned long long>(health.blind));
       json += buf;
       std::printf(
-          "faults %-12s procs=%zu threads=%zu %s: %.1f ns/proc/epoch  "
+          "faults %-12s procs=%zu threads=%zu: %.1f ns/proc/epoch  "
           "overhead %+.1f%%  coasted %llu  blind %llu\n",
-          row.scenario, fault_procs, fault_threads, mode_name(fault_mode),
+          row.scenario, fault_procs, fault_threads,
           ns / static_cast<double>(fault_procs), overhead * 100.0,
           static_cast<unsigned long long>(health.coasted),
           static_cast<unsigned long long>(health.blind));
@@ -1856,23 +1803,23 @@ int main(int argc, char** argv) {
     chaos.detector = {.throw_rate = 0.005, .garbage_rate = 0.005};
     chaos.actuator = {.transient_rate = 0.02, .permanent_rate = 0.01};
     const fault::FaultyDetector faulty(detector, chaos);
-    const ChurnPoint cp = run_churn_point(faulty, 1024, 16.0, max_threads,
-                                          fault_mode, smoke, &chaos);
+    const ChurnPoint cp =
+        run_churn_point(faulty, 1024, 16.0, max_threads, smoke, &chaos);
     char buf[384];
     std::snprintf(
         buf, sizeof(buf),
         ",\n    {\"scenario\": \"faulted_churn\", \"target_live\": %zu, "
-        "\"arrival_rate\": %.1f, \"threads\": %zu, \"mode\": \"%s\", "
+        "\"arrival_rate\": %.1f, \"threads\": %zu, "
         "\"ns_per_epoch\": %.1f, \"ns_per_proc_epoch\": %.1f, "
         "\"mean_live\": %.1f}",
-        cp.target_live, cp.arrival_rate, cp.threads, mode_name(cp.mode),
-        cp.ns_per_epoch, cp.ns_per_proc_epoch, cp.mean_live);
+        cp.target_live, cp.arrival_rate, cp.threads, cp.ns_per_epoch,
+        cp.ns_per_proc_epoch, cp.mean_live);
     json += buf;
     std::printf(
-        "faults faulted_churn live=%zu threads=%zu %s: %.0f ns/epoch  "
+        "faults faulted_churn live=%zu threads=%zu: %.0f ns/epoch  "
         "%.1f ns/proc/epoch  mean_live %.0f\n",
-        cp.target_live, cp.threads, mode_name(cp.mode), cp.ns_per_epoch,
-        cp.ns_per_proc_epoch, cp.mean_live);
+        cp.target_live, cp.threads, cp.ns_per_epoch, cp.ns_per_proc_epoch,
+        cp.mean_live);
 
     const RecoveryPoint rp =
         run_recovery_point(detector, smoke ? 256 : 1024, smoke);

@@ -143,7 +143,7 @@ BENCHMARK(BM_WindowFeaturesStreaming)->Arg(16)->Arg(256)->Arg(4096);
 // Scalar-vs-batch cost of one epoch's detector work over N live processes:
 // the scalar side walks the per-process streaming path (one WindowSummary /
 // one measurement vote per slot), the batch side issues the single
-// feature-plane sweep the batched engine schedule issues per shard. Both
+// feature-plane sweep the engine step issues per shard. Both
 // produce bit-identical inferences (tests/test_batch_infer.cpp); the gap is
 // the cross-slot batching win per detector family.
 
@@ -185,7 +185,7 @@ void scalar_votes(benchmark::State& state, const ml::Detector& detector) {
                           static_cast<std::int64_t>(bp.n));
 }
 
-/// Batch side: the single plane sweep the batched engine issues per shard.
+/// Batch side: the single plane sweep the engine step issues per shard.
 void batch_votes(benchmark::State& state, const ml::Detector& detector) {
   const bench::BatchPlane bp = bench::make_batch_plane(static_cast<std::size_t>(state.range(0)));
   const ml::FeatureMatrixView newest = bp.view().newest_view();

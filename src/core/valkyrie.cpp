@@ -103,20 +103,18 @@ ValkyrieMonitor::Action ValkyrieMonitor::on_epoch(
 
 ValkyrieEngine::ValkyrieEngine(sim::SimSystem& sys,
                                const ml::Detector& detector,
-                               std::size_t worker_threads, StepMode mode)
-    : sys_(sys), detector_(detector), mode_(mode) {
+                               std::size_t worker_threads)
+    : sys_(sys), detector_(detector) {
   const unsigned hw = std::thread::hardware_concurrency();
   if (hw != 0 && worker_threads > hw) worker_threads = hw;
   if (worker_threads > 1) {
     pool_ = std::make_unique<util::ThreadPool>(worker_threads);
   }
   shard_commands_.resize(shard_count());
-  // The batched schedule reads the detector's declared sections straight
-  // off the system's feature plane; arm exactly that much per-slot
-  // maintenance now so the very first epoch already fills it.
-  if (mode_ == StepMode::kBatched) {
-    sys_.enable_feature_plane(detector_.plane_sections());
-  }
+  // The step reads the detector's declared sections straight off the
+  // system's feature plane; arm exactly that much per-slot maintenance now
+  // so the very first epoch already fills it.
+  sys_.enable_feature_plane(detector_.plane_sections());
 }
 
 void ValkyrieEngine::reserve_shard_buffers(std::size_t per_shard) {
@@ -128,8 +126,8 @@ void ValkyrieEngine::reserve_shard_buffers(std::size_t per_shard) {
 void ValkyrieEngine::reserve(std::size_t max_processes) {
   attached_.reserve(max_processes);
   attached_index_.reserve(max_processes);
-  // The batched schedule's per-slot scratch follows the live count, which
-  // never exceeds the processes ever spawned.
+  // The per-slot batch scratch follows the live count, which never exceeds
+  // the processes ever spawned.
   batch_finished_.reserve(max_processes);
   batch_votes_.reserve(max_processes);
   batch_infer_.reserve(max_processes);
@@ -156,8 +154,8 @@ void ValkyrieEngine::attach(sim::ProcessId pid, ValkyrieConfig config,
   attached_.push_back(std::move(a));
   // A shard emits at most one command per attachment it owns; sizing to one
   // ceil-chunk keeps the per-epoch hot path allocation-free without
-  // shard_count-fold overcommit. (The fused schedule re-checks per step
-  // against its live-slot ranges, which may cluster attachments.)
+  // shard_count-fold overcommit. (The step re-checks against its live-slot
+  // ranges, which may cluster attachments.)
   reserve_shard_buffers(shard_quota(attached_.size()));
 }
 
@@ -169,8 +167,8 @@ void ValkyrieEngine::detach(sim::ProcessId pid) {
   // Tombstone, don't erase: k detaches between steps cost one stable
   // compaction pass (prune_detached) instead of k ordered erases — the
   // same mark-then-compact pattern SimSystem uses for slot retirement.
-  // Stability keeps attachment order, so runs that mix detaches stay
-  // bit-comparable across schedules by construction.
+  // Stability keeps attachment order, so snapshots of runs that mix
+  // detaches stay byte-comparable by construction.
   const auto idx = static_cast<std::size_t>(*idx_entry);
   attached_index_.erase(pid);
   attached_[idx].detached = true;
@@ -192,17 +190,6 @@ void ValkyrieEngine::prune_detached() {
   // would demand one for its growth path even though this only shrinks).
   attached_.erase(attached_.begin() + static_cast<std::ptrdiff_t>(w),
                   attached_.end());
-}
-
-void ValkyrieEngine::infer_attachment(Attached& a,
-                                      std::vector<ActuatorCommand>& commands) {
-  // One summary per process per epoch; both detectors share it, so
-  // feature extraction and statistics assembly happen exactly once.
-  const ml::WindowSummary summary = sys_.window_summary(a.pid);
-  const ml::Inference inference = fault_plane_ == nullptr
-                                      ? a.stream.infer(detector_, summary)
-                                      : guarded_infer(a, summary);
-  finish_attachment(a, &summary, inference, commands);
 }
 
 ml::Inference ValkyrieEngine::sanitize(ml::Inference inference) noexcept {
@@ -250,9 +237,7 @@ ml::Inference ValkyrieEngine::guarded_infer(Attached& a,
   }
 }
 
-void ValkyrieEngine::finish_attachment(Attached& a,
-                                       const ml::WindowSummary* summary,
-                                       ml::Inference inference,
+void ValkyrieEngine::finish_attachment(Attached& a, ml::Inference inference,
                                        std::vector<ActuatorCommand>& commands) {
   std::optional<ml::Inference> terminal;
   if (a.terminal_detector != nullptr &&
@@ -260,23 +245,19 @@ void ValkyrieEngine::finish_attachment(Attached& a,
     // StreamingInference catches up on any epochs it was not consulted
     // for, so the first terminable-state query pays one linear pass and
     // every subsequent epoch is O(1).
-    ml::WindowSummary assembled;
-    if (summary == nullptr) {
-      assembled = sys_.window_summary(a.pid);
-      summary = &assembled;
-    }
+    const ml::WindowSummary summary = sys_.window_summary(a.pid);
     if (fault_plane_ == nullptr) {
-      terminal = a.terminal_stream.infer(*a.terminal_detector, *summary);
+      terminal = a.terminal_stream.infer(*a.terminal_detector, summary);
     } else {
       // The terminal detector gets the same containment as the per-epoch
       // one: a throw yields kInvalid (the monitor stays terminable until a
       // valid epoch decides).
       try {
         terminal = sanitize(
-            a.terminal_stream.infer(*a.terminal_detector, *summary));
+            a.terminal_stream.infer(*a.terminal_detector, summary));
       } catch (...) {
         health_detector_faults_.fetch_add(1, std::memory_order_relaxed);
-        a.terminal_stream.mark_observed(summary->count);
+        a.terminal_stream.mark_observed(summary.count);
         terminal = ml::Inference::kInvalid;
       }
     }
@@ -292,9 +273,9 @@ void ValkyrieEngine::finish_attachment(Attached& a,
 // Serial commit phase: apply the batched responses once the shards have
 // joined. Every command targets only its own process's state (weights,
 // caps, liveness), so the committed state is independent of drain order —
-// the fused schedule drains in live-slot order, the split schedule in
-// attachment order, and both land exactly where the sequential engine
-// does, before the next epoch's workload execution (Eq. 3 timing).
+// the shards drain in live-slot order and land exactly where the
+// sequential reference loop does, before the next epoch's workload
+// execution (Eq. 3 timing).
 void ValkyrieEngine::commit_shard_commands() {
   if (fault_plane_ == nullptr && retry_.empty()) {
     // Fault-free fast path: exactly the seed behaviour, no plane draws, no
@@ -305,8 +286,8 @@ void ValkyrieEngine::commit_shard_commands() {
     return;
   }
   // Hardened path. The epoch counter has already advanced (end_epoch ran),
-  // so every mode keys the plane's transient-failure schedule and the
-  // backoff deadlines on the same value. Each process plans at most one
+  // so the plane's transient-failure schedule and the backoff deadlines
+  // are keyed on the closed epoch. Each process plans at most one
   // command per epoch, so per-pid outcomes are independent of the order
   // the shards emitted them in.
   const std::uint64_t epoch = sys_.current_epoch();
@@ -421,7 +402,7 @@ void ValkyrieEngine::commit_command(const ActuatorCommand& cmd,
 void ValkyrieEngine::process_retries(std::uint64_t epoch) {
   using Kind = ActuatorCommand::Kind;
   if (retry_.empty()) return;
-  // One stable in-place pass in pid order (deterministic across modes):
+  // One stable in-place pass in pid order (deterministic across shards):
   // purge, escalate, retry due entries, reschedule or drop.
   std::size_t w = 0;
   for (std::size_t i = 0; i < retry_.size(); ++i) {
@@ -504,124 +485,23 @@ std::size_t ValkyrieEngine::live_attached_count() const {
 std::size_t ValkyrieEngine::step() {
   ++step_tag_;
   if (detached_count_ != 0) prune_detached();
-  switch (mode_) {
-    case StepMode::kSplit:
-      return step_split();
-    case StepMode::kBatched:
-      return step_batched();
-    case StepMode::kFused:
-      break;
-  }
-  return step_fused();
-}
-
-std::size_t ValkyrieEngine::step_fused() {
-  // Serial open phase: CFS share snapshot; the live list and pid -> slot
-  // remap are frozen until the epoch closes, so slot i below is
-  // live[i] for the whole dispatch.
-  sys_.begin_epoch();
-  const std::span<const sim::ProcessId> live = sys_.live_processes();
-
-  for (std::vector<ActuatorCommand>& buf : shard_commands_) buf.clear();
-  // The fused dispatch shards over live slots, not attachments, so a single
-  // shard can own up to one ceil-chunk of *processes* worth of attachments
-  // when they cluster. Re-check capacity against that bound (a no-op in
-  // steady state; live counts only shrink between attaches).
-  if (!attached_.empty() && !live.empty()) {
-    reserve_shard_buffers(
-        std::min(shard_quota(live.size()), attached_.size()));
-  }
-
-  // With the plane-major fold armed, step_slot only STAGES each slot's
-  // feature vector into the plane — the shard must step its whole range,
-  // fold it in one cross-slot Welford pass, and only then read summaries.
-  // The per-slot finished flags live in the batched schedule's scratch.
-  const bool fold = sys_.plane_major_fold_enabled();
-  if (fold && batch_finished_.size() < live.size()) {
-    batch_finished_.resize(live.size());
-  }
-
-  // One fused shard dispatch: simulate the process, then consume its fresh
-  // HPC sample for inference + the monitor decision while it is still hot,
-  // emitting side effects as commands into the shard's buffer.
-  const auto fused_range = [&](std::size_t shard, std::size_t begin,
-                               std::size_t end) {
-    std::vector<ActuatorCommand>& commands = shard_commands_[shard];
-    if (fold) {
-      // Step-all / fold / infer-all. The sample is no longer L1-hot when
-      // the inference pass re-reads it, but the fold kernel's cross-slot
-      // vectorization repays the refetch. Bit-identical to the interleaved
-      // loop: per-slot work is independent and the fold preserves the
-      // scalar accumulation order.
-      for (std::size_t slot = begin; slot < end; ++slot) {
-        batch_finished_[slot] = sys_.step_slot(slot) ? 1 : 0;
-      }
-      sys_.fold_plane_range(begin, end);
-      for (std::size_t slot = begin; slot < end; ++slot) {
-        const sim::ProcessId pid = live[slot];
-        const std::uint32_t* idx = attached_index_.find(pid);
-        if (idx == nullptr) continue;
-        Attached& a = attached_[*idx];
-        a.last_action = ValkyrieMonitor::Action::kNone;
-        a.last_action_step = step_tag_;
-        if (batch_finished_[slot] != 0) continue;
-        infer_attachment(a, commands);
-      }
-      return;
-    }
-    for (std::size_t slot = begin; slot < end; ++slot) {
-      const sim::ProcessId pid = live[slot];
-      const bool finished = sys_.step_slot(slot);
-      const std::uint32_t* idx = attached_index_.find(pid);
-      if (idx == nullptr) continue;
-      Attached& a = attached_[*idx];
-      a.last_action = ValkyrieMonitor::Action::kNone;
-      a.last_action_step = step_tag_;
-      // A process that completed this epoch gets no inference — exactly as
-      // the split schedule's inference pass sees it (already dead).
-      if (finished) continue;
-      infer_attachment(a, commands);
-    }
-  };
-
-  // On a shard exception the commands planned so far are still committed
-  // before the rethrow — a monitor that recorded a decision (e.g.
-  // kTerminated) must never have its side effect dropped, or engine and
-  // system state diverge. abort_epoch still retires completed processes
-  // but does not count the epoch.
-  try {
-    if (pool_ != nullptr) {
-      // n <= 1 runs inline inside the pool, which counts it — so the
-      // schedule-run statistic stays exact for degenerate epochs too.
-      pool_->parallel_for_shards(live.size(), fused_range);
-    } else if (!live.empty()) {
-      ++inline_runs_;
-      fused_range(0, 0, live.size());
-    }
-  } catch (...) {
-    sys_.abort_epoch();
-    commit_shard_commands();
-    throw;
-  }
-  sys_.end_epoch();
-  commit_shard_commands();
-
-  return live_attached_count();
-}
-
-std::size_t ValkyrieEngine::step_batched() {
   // Re-arm the plane sections every step: a detector whose declared needs
   // widened since construction (e.g. StatisticalDetector::set_vote_window
   // switching it onto the raw-window default adapter) must find its
   // sections maintained, not silently read never-written rows. Widening
   // an armed plane is three flag ORs; narrowing never happens.
   sys_.enable_feature_plane(detector_.plane_sections());
-  // Serial open phase, exactly as fused: CFS share snapshot; slot layout
-  // frozen for the whole dispatch.
+  // Serial open phase: CFS share snapshot; the live list and pid -> slot
+  // remap are frozen until the epoch closes, so slot i below is live[i]
+  // for the whole dispatch.
   sys_.begin_epoch();
   const std::span<const sim::ProcessId> live = sys_.live_processes();
 
   for (std::vector<ActuatorCommand>& buf : shard_commands_) buf.clear();
+  // The dispatch shards over live slots, not attachments, so a single shard
+  // can own up to one ceil-chunk of *processes* worth of attachments when
+  // they cluster. Re-check capacity against that bound (a no-op in steady
+  // state; live counts only shrink between attaches).
   if (!attached_.empty() && !live.empty()) {
     reserve_shard_buffers(
         std::min(shard_quota(live.size()), attached_.size()));
@@ -640,7 +520,7 @@ std::size_t ValkyrieEngine::step_batched() {
   // plane segment as a side effect; (B) ONE batch detector call over that
   // segment instead of one virtual call per process; (C) fold the batch
   // results into the per-attachment running counts and plan the responses.
-  const auto batched_range = [&](std::size_t shard, std::size_t begin,
+  const auto shard_range = [&](std::size_t shard, std::size_t begin,
                                  std::size_t end) {
     std::vector<ActuatorCommand>& commands = shard_commands_[shard];
     for (std::size_t slot = begin; slot < end; ++slot) {
@@ -659,7 +539,7 @@ std::size_t ValkyrieEngine::step_batched() {
     // detector rejects the whole segment): contain it and drop this
     // shard's segment to the per-slot scalar path, which re-applies the
     // per-column fault decisions deterministically — so the faulted run
-    // stays bit-identical to the fused schedule's.
+    // stays bit-identical to the reference loop's.
     bool batch_ok = true;
     try {
       if (fraction) {
@@ -684,8 +564,8 @@ std::size_t ValkyrieEngine::step_batched() {
       Attached& a = attached_[*idx];
       a.last_action = ValkyrieMonitor::Action::kNone;
       a.last_action_step = step_tag_;
-      // A process that completed this epoch gets no inference — exactly as
-      // the fused and split schedules see it.
+      // A process that completed this epoch gets no inference: the
+      // reference loop sees it already retired.
       if (batch_finished_[slot] != 0) continue;
       ml::Inference inference;
       if (!batch_ok) {
@@ -696,7 +576,7 @@ std::size_t ValkyrieEngine::step_batched() {
         const std::size_t count = plane.counts[slot];
         if (fault_plane_ != nullptr &&
             sys_.invalid_streak(a.pid) > fault_cfg_.staleness_budget) {
-          // Past the staleness budget the fused path goes blind without
+          // Past the staleness budget guarded_infer goes blind without
           // touching the stream; mirror it exactly (the batch vote for
           // this slot was computed over stale bits and is discarded).
           health_blind_.fetch_add(1, std::memory_order_relaxed);
@@ -713,7 +593,7 @@ std::size_t ValkyrieEngine::step_batched() {
         } else if (fault_plane_ != nullptr) {
           // Quarantined (stale count), mid-run catch-up or episode shrink
           // under an armed plane: the guarded scalar path keeps coast
-          // accounting and containment identical to the fused schedule.
+          // accounting and detector containment.
           inference = guarded_infer(a, sys_.window_summary(a.pid));
         } else {
           // Mid-run attach catch-up or episode shrink: the scalar
@@ -738,16 +618,23 @@ std::size_t ValkyrieEngine::step_batched() {
           }
         }
       }
-      finish_attachment(a, nullptr, inference, commands);
+      finish_attachment(a, inference, commands);
     }
   };
 
+  // On a shard exception the commands planned so far are still committed
+  // before the rethrow — a monitor that recorded a decision (e.g.
+  // kTerminated) must never have its side effect dropped, or engine and
+  // system state diverge. abort_epoch still retires completed processes
+  // but does not count the epoch.
   try {
     if (pool_ != nullptr) {
-      pool_->parallel_for_shards(live.size(), batched_range);
+      // n <= 1 runs inline inside the pool, which counts it — so the
+      // schedule-run statistic stays exact for degenerate epochs too.
+      pool_->parallel_for_shards(live.size(), shard_range);
     } else if (!live.empty()) {
       ++inline_runs_;
-      batched_range(0, 0, live.size());
+      shard_range(0, 0, live.size());
     }
   } catch (...) {
     sys_.abort_epoch();
@@ -755,46 +642,6 @@ std::size_t ValkyrieEngine::step_batched() {
     throw;
   }
   sys_.end_epoch();
-  commit_shard_commands();
-
-  return live_attached_count();
-}
-
-std::size_t ValkyrieEngine::step_split() {
-  // Shard phase 1: simulate the epoch (workloads, HPC capture, window
-  // statistics) across the pool. Without a pool the phase runs inline on
-  // this thread — counted here so schedule_run_count() reports the split
-  // schedule's two phases per epoch regardless of worker count.
-  if (pool_ == nullptr && !sys_.live_processes().empty()) ++inline_runs_;
-  sys_.run_epoch(pool_.get());
-
-  for (std::vector<ActuatorCommand>& buf : shard_commands_) buf.clear();
-
-  // Shard phase 2: streaming inference + monitor decisions. Each shard
-  // touches only its own attachments' state and reads the system, emitting
-  // side effects as commands into its own buffer.
-  const auto infer_range = [&](std::size_t shard, std::size_t begin,
-                               std::size_t end) {
-    std::vector<ActuatorCommand>& commands = shard_commands_[shard];
-    for (std::size_t i = begin; i < end; ++i) {
-      Attached& a = attached_[i];
-      a.last_action = ValkyrieMonitor::Action::kNone;
-      a.last_action_step = step_tag_;
-      if (!sys_.is_live(a.pid)) continue;
-      infer_attachment(a, commands);
-    }
-  };
-  try {
-    if (pool_ != nullptr) {
-      pool_->parallel_for_shards(attached_.size(), infer_range);
-    } else if (!attached_.empty()) {
-      ++inline_runs_;
-      infer_range(0, 0, attached_.size());
-    }
-  } catch (...) {
-    commit_shard_commands();
-    throw;
-  }
   commit_shard_commands();
 
   return live_attached_count();
@@ -820,8 +667,8 @@ const ValkyrieMonitor& ValkyrieEngine::monitor(sim::ProcessId pid) const {
 
 ValkyrieMonitor::Action ValkyrieEngine::last_action(sim::ProcessId pid) const {
   const Attached& a = attachment(pid);
-  // The fused schedule never visits attachments of already-dead processes,
-  // so an action from an older step reads as "nothing happened this epoch".
+  // The step never visits attachments of already-dead processes, so an
+  // action from an older step reads as "nothing happened this epoch".
   return a.last_action_step == step_tag_ ? a.last_action
                                          : ValkyrieMonitor::Action::kNone;
 }
@@ -879,9 +726,9 @@ snapshot::EngineImage ValkyrieEngine::snapshot_state() const {
     att.stream_counted = a.stream.counted();
     att.terminal_malicious = a.terminal_stream.malicious_count();
     att.terminal_counted = a.terminal_stream.counted();
-    // Canonicalize to the observable view (see AttachmentImage): schedules
-    // differ in whether they record kNone actions, so only a real action
-    // from THIS step survives into the snapshot.
+    // Canonicalize to the observable view (see AttachmentImage): whether a
+    // kNone action was recorded is bookkeeping, so only a real action from
+    // THIS step survives into the snapshot.
     const bool acted = a.last_action_step == step_tag_ &&
                        a.last_action != ValkyrieMonitor::Action::kNone;
     att.last_action = static_cast<std::uint8_t>(
@@ -891,7 +738,7 @@ snapshot::EngineImage ValkyrieEngine::snapshot_state() const {
   }
   // The retry table is real state — a restored run must resume the same
   // backoff schedule. Already pid-sorted (an invariant commit maintains
-  // precisely so snapshots are byte-identical across StepModes).
+  // precisely so snapshots are byte-identical across worker counts).
   image.retries.reserve(retry_.size());
   for (const PendingRetry& r : retry_) {
     snapshot::RetryImage ri;

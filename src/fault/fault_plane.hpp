@@ -7,7 +7,7 @@
 // does it deterministically: every fault decision is a pure splitmix64
 // hash over a stable identity (seed x epoch x pid, or seed x feature
 // bits), never a stateful RNG draw. That is what keeps chaos runs
-// bit-reproducible across StepModes and worker counts: shards may consult
+// bit-reproducible across worker counts: shards may consult
 // the plane in any order, any number of times, and always get the same
 // answer. Fault schedules therefore "commit" at epoch boundaries by
 // construction — the decision for (epoch E, pid P) is fixed the moment
@@ -86,8 +86,8 @@ struct ActuatorFaultConfig {
 /// a burst is answered by walking the domain's renewal intervals from
 /// epoch 0, each interval length drawn from a hash of (seed, domain,
 /// interval index). No state, no draws consumed — shards may ask in any
-/// order and chaos runs stay bit-reproducible across StepModes × worker
-/// counts exactly like the iid draws.
+/// order and chaos runs stay bit-reproducible across worker counts exactly
+/// like the iid draws.
 struct DomainFaultConfig {
   /// Number of fault domains; 0 disables the burst layer entirely.
   std::size_t domain_count = 0;
@@ -181,9 +181,9 @@ class FaultPlane {
       std::uint64_t epoch, std::uint32_t pid) const noexcept;
 
   /// Detector faults key on the *feature bits* being scored, so the
-  /// decision is identical wherever the score happens — the scalar fused
-  /// path, the split schedule and the batched plane sweep all present the
-  /// same bits for the same measurement. One draw, partitioned:
+  /// decision is identical wherever the score happens — the scalar
+  /// streaming path, the batched plane sweep and the reference loop all
+  /// present the same bits for the same measurement. One draw, partitioned:
   /// throw first, then garbage.
   [[nodiscard]] bool detector_throws(
       std::span<const double> features) const noexcept;
@@ -212,7 +212,7 @@ class DetectorFault : public std::runtime_error {
 /// sanitize). Batch kernels throw when ANY column in the batch is faulted
 /// — the engine then falls back to the per-slot scalar path, which
 /// re-applies the per-column decisions deterministically, so batched runs
-/// stay bit-identical to fused ones. Name and state hash forward to the
+/// stay bit-identical to scalar ones. Name and state hash forward to the
 /// wrapped detector: snapshots of faulted runs interoperate with the
 /// fault-free engine.
 class FaultyDetector final : public ml::Detector {

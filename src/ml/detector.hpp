@@ -44,8 +44,8 @@ enum class Inference : std::uint8_t { kBenign, kMalicious, kInvalid };
 
 /// Numeric tier a detector's kernels run at. kBitExact (the default,
 /// always) calls libm and keeps the repository-wide bit-reproducibility
-/// contract: batch == scalar == every previous release, across StepModes
-/// and worker counts. kFast swaps the transcendentals for the fast_math
+/// contract: batch == scalar == every previous release, across worker
+/// counts. kFast swaps the transcendentals for the fast_math
 /// approximations (and division for precomputed-reciprocal multiplies where
 /// a kernel is divide-bound): still deterministic — the same build produces
 /// the same bits on every run, and fast-scalar == fast-batch by the same

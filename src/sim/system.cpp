@@ -12,7 +12,6 @@
 #include "snapshot/image.hpp"
 #include "snapshot/registry.hpp"
 #include "util/serial.hpp"
-#include "util/thread_pool.hpp"
 
 namespace valkyrie::sim {
 
@@ -205,12 +204,15 @@ void SimSystem::enable_plane_major_fold() {
 void SimSystem::reserve_plane() {
   if (!plane_enabled_) return;
   // Pad the stride to a full cache line of doubles so feature rows keep a
-  // fixed 64-byte-aligned distance and a grown plane is only reallocated
-  // when the capacity line is actually crossed. reserve() floors the
-  // stride at the reserved capacity, so churn admissions after a reserve
-  // never regrow the plane.
+  // fixed 64-byte-aligned distance. Admissions that cross the stride at
+  // least double it, so n admissions before any reserve() cost O(log n)
+  // plane rewrites, not O(n). reserve() floors the stride at the reserved
+  // capacity, so churn admissions after a reserve never regrow the plane.
   constexpr std::size_t kPad = 8;
-  const std::size_t want = std::max(slot_pid_.size(), reserved_capacity_);
+  std::size_t want = reserved_capacity_;
+  if (slot_pid_.size() > plane_stride_) {
+    want = std::max({want, slot_pid_.size(), 2 * plane_stride_});
+  }
   const std::size_t stride = (want + kPad - 1) / kPad * kPad;
   if (stride <= plane_stride_) return;
   const std::size_t rows = plane_rows_used();
@@ -700,37 +702,23 @@ void SimSystem::commit_lifecycle() {
   drain_retired();
 }
 
-void SimSystem::run_epoch(util::ThreadPool* pool) {
+void SimSystem::run_epoch() {
   begin_epoch();
-  const std::size_t live = slot_pid_.size();
-  const auto run_range = [this](std::size_t begin, std::size_t end) {
-    for (std::size_t slot = begin; slot < end; ++slot) (void)step_slot(slot);
-    // Plane-major fold of the range just stepped (no-op unless armed):
-    // per-slot independent, so shard boundaries cannot change the bits.
-    fold_plane_range(begin, end);
-  };
-
-  // Per-slot phase: every slot touches only its own hot-array entries and
-  // cold row, and reads the serial share snapshot, so sharding is safe and
-  // bit-identical to the sequential loop.
   try {
-    if (pool != nullptr) {
-      // Degenerate sizes run inline inside the pool, which counts them in
-      // inline_run_count() — keeping schedule statistics exact.
-      pool->parallel_for(live, run_range);
-    } else {
-      run_range(0, live);
+    for (std::size_t slot = 0; slot < slot_pid_.size(); ++slot) {
+      (void)step_slot(slot);
     }
   } catch (...) {
     abort_epoch();
     throw;
   }
+  // end_epoch runs the plane-major fold (no-op unless armed).
   end_epoch();
 }
 
-void SimSystem::run_epochs(std::size_t n, util::ThreadPool* pool) {
+void SimSystem::run_epochs(std::size_t n) {
   reserve_history(n);
-  for (std::size_t i = 0; i < n; ++i) run_epoch(pool);
+  for (std::size_t i = 0; i < n; ++i) run_epoch();
 }
 
 void SimSystem::reserve_history(std::size_t epochs) {
@@ -817,6 +805,29 @@ void SimSystem::retire_dead_slots() {
   retire_pending_ = false;
   lifecycle_scratch_.clear();
   const std::size_t n = slot_pid_.size();
+  if (fold_enabled_) {
+    // Fold mode keeps the authoritative Welford state in the plane, so the
+    // plane follows the same stable remap as every hot array (column i
+    // always belongs to live_processes()[i]). Gather each retiring slot's
+    // column back into accumulator form for the retirement snapshot below,
+    // then compact with one unit-stride pass per row, starting at the
+    // first retiring slot. Outside fold mode the plane is a derived cache
+    // that step_slot rewrites for every live slot before any read, so its
+    // columns need not move.
+    std::size_t first = n;
+    for (std::size_t s = 0; s < n; ++s) {
+      if (exit_s_[s] == ExitReason::kRunning) continue;
+      if (first == n) first = s;
+      accum_s_[s].restore(fold_state(s));
+    }
+    for (std::size_t r = 0; r < plane_rows_used(); ++r) {
+      double* row = plane_.data() + r * plane_stride_;
+      std::size_t w = first;
+      for (std::size_t s = first; s < n; ++s) {
+        if (exit_s_[s] == ExitReason::kRunning) row[w++] = row[s];
+      }
+    }
+  }
   std::size_t w = 0;
   for (std::size_t s = 0; s < n; ++s) {
     const ProcessId pid = slot_pid_[s];
@@ -836,11 +847,6 @@ void SimSystem::retire_dead_slots() {
         invalid_streak_s_[w] = invalid_streak_s_[s];
         feature_streak_s_[w] = feature_streak_s_[s];
         if (plane_enabled_) {
-          // The plane follows the same stable remap as every hot array, so
-          // column i always belongs to live_processes()[i].
-          for (std::size_t r = 0; r < plane_rows_used(); ++r) {
-            plane_[r * plane_stride_ + w] = plane_[r * plane_stride_ + s];
-          }
           plane_count_[w] = plane_count_[s];
           plane_window_[w] = plane_window_[s];
           plane_window_wrap_[w] = plane_window_wrap_[s];
@@ -858,10 +864,8 @@ void SimSystem::retire_dead_slots() {
       retired.cgroup = cgroup_s_[s];
       retired.effective = effective_s_[s];
       retired.last_sample = last_sample_s_[s];
-      // Fold mode keeps the authoritative Welford state in the plane; the
-      // retirement snapshot gathers it back into accumulator form so the
+      // In fold mode accum_s_[s] was gathered from the plane above, so the
       // pid-addressed observers answer from the same bits as ever.
-      if (fold_enabled_) accum_s_[s].restore(fold_state(s));
       retired.accumulator = accum_s_[s];
       retired.last_progress = last_progress_s_[s];
       retired.epochs_run = epochs_run_s_[s];
@@ -1025,7 +1029,7 @@ ml::WindowSummary SimSystem::window_summary(ProcessId pid) const {
   history_spans(cold_[rec.row], older, wrap);
   if (fold_enabled_ && is_hot_slot(slot)) {
     // Fold mode assembles BY VALUE straight off the plane rows: no shared
-    // accumulator refresh, so parallel fused shards can query their own
+    // accumulator refresh, so parallel engine shards can query their own
     // (already-folded) slots concurrently.
     ml::WindowSummary out;
     out.count = plane_count_[slot];

@@ -24,17 +24,17 @@
 // window-statistics fold) that is embarrassingly parallel for distinct
 // slots, and a serial close (end_epoch: epoch count + boundary commit of
 // every lifecycle delta — completions and deferred kills retire, deferred
-// admissions append). run_epoch() drives the three phases itself;
-// ValkyrieEngine's fused path interleaves its own per-process inference
-// with step_slot inside a single shard dispatch. Either way results are
+// admissions append). run_epoch() drives the three phases itself,
+// sequentially; ValkyrieEngine runs its own per-process inference after
+// step_slot inside a single shard dispatch. Either way results are
 // bit-identical to the sequential path for any shard count.
 //
 // The process set is OPEN: spawn() and kill() are legal at any point of a
 // run, including while an epoch is open. Mid-epoch calls do not mutate the
 // hot arrays under the running shards — they enqueue, and the deltas commit
 // at the epoch boundary (see spawn/kill below), so the frozen slot layout
-// the dispatch relies on survives and every StepMode stays bit-identical at
-// any worker count. reserve() pre-grows every table so steady-state churn
+// the dispatch relies on survives and runs stay bit-identical at any
+// worker count. reserve() pre-grows every table so steady-state churn
 // (spawn + retire every epoch) performs no heap allocation at all.
 #pragma once
 
@@ -55,10 +55,6 @@
 #include "sim/workload.hpp"
 #include "util/pid_map.hpp"
 #include "util/rng.hpp"
-
-namespace valkyrie::util {
-class ThreadPool;
-}
 
 namespace valkyrie::snapshot {
 struct SystemImage;
@@ -131,8 +127,8 @@ class SimSystem {
   /// steady-state churn stays allocation-free. Applies to retirements from
   /// the call onward; processes already retired are never reclaimed.
   /// Reclamation runs at epoch boundaries (the same serial commit point as
-  /// every other lifecycle mutation, so all StepModes and worker counts
-  /// reclaim identically). Throws std::invalid_argument on a zero window
+  /// every other lifecycle mutation, so all worker counts reclaim
+  /// identically). Throws std::invalid_argument on a zero window
   /// (drivers read exit state at the boundary that retires a process, so
   /// the state must survive at least one epoch) and std::logic_error while
   /// an epoch is open. Calling again adjusts the window.
@@ -142,25 +138,26 @@ class SimSystem {
     return retention_enabled_;
   }
 
-  /// Runs one measurement epoch for every live process. With a pool the
-  /// per-slot phase is sharded across its workers; results are
-  /// bit-identical to the sequential path for any shard count.
-  void run_epoch(util::ThreadPool* pool = nullptr);
+  /// Runs one measurement epoch for every live process, sequentially:
+  /// begin_epoch, step_slot over every slot, end_epoch. The engine shards
+  /// the same per-slot phase; results are bit-identical for any shard
+  /// count.
+  void run_epoch();
 
   /// Runs `n` epochs. Reserves history capacity for all `n` up front, so
   /// multi-epoch drivers are allocation-free without remembering to call
   /// reserve_history themselves.
-  void run_epochs(std::size_t n, util::ThreadPool* pool = nullptr);
+  void run_epochs(std::size_t n);
 
   /// Pre-reserves capacity for `epochs` further samples in every live
   /// process's history, so the per-epoch hot path performs no heap
   /// allocation until the reservation is exhausted.
   void reserve_history(std::size_t epochs);
 
-  // --- Fused-epoch driver API ----------------------------------------------
+  // --- Epoch-phase driver API -----------------------------------------------
   //
   // run_epoch() is built from these three phases; external drivers (the
-  // engine's fused step) call them directly so per-process work of their own
+  // engine's step) call them directly so per-process work of their own
   // can run inside the same shard dispatch as the simulation:
   //
   //   begin_epoch();                  // serial: share snapshot
@@ -209,14 +206,16 @@ class SimSystem {
   // SoA hot core when enabled: row f of each group (newest features, window
   // mean, window stddev) holds that feature for every live slot, rows are
   // `stride` doubles apart (stride = slot capacity padded to a full cache
-  // line of doubles), and slot columns follow the same compaction/remap as
-  // every other hot array. step_slot() writes its slot's column right after
+  // line of doubles, at least doubled on growth), and column i belongs to
+  // live_processes()[i]. step_slot() writes its slot's column right after
   // the window fold, so after an epoch's per-slot phase the plane carries
   // exactly the bits window_summary() would assemble per process — batch
   // detector kernels sweep it with unit-stride inner loops instead of
-  // gathering one WindowSummary at a time.
+  // gathering one WindowSummary at a time. Because every live column is
+  // rewritten each epoch, slot compaction leaves the plane rows alone
+  // (except under the plane-major fold, where they are authoritative).
 
-  /// Arms per-slot plane maintenance (StepMode::kBatched drivers) for the
+  /// Arms per-slot plane maintenance (batch-inference drivers) for the
   /// given sections — what the driver's detector declares it reads
   /// (Detector::plane_sections); re-enabling widens the maintained set.
   /// A full plane costs ~3*kFeatureDim strided stores per slot per epoch,
@@ -269,8 +268,8 @@ class SimSystem {
   // (window_summary, window_accumulator, retirement snapshots, snapshots)
   // routes through a plane gather instead. Results are bit-identical to
   // the scalar fold — same per-lane operation sequence (test-pinned) — for
-  // every StepMode and worker count, because the fold is per-slot
-  // independent and runs inside the same shard that stepped the slot.
+  // every worker count, because the fold is per-slot independent and runs
+  // inside the same shard that stepped the slot.
 
   /// Arms plane-major folding (forces the feature plane on with newest +
   /// stats rows, seeds the fold rows from the current accumulators). Must
@@ -298,7 +297,7 @@ class SimSystem {
   /// Box-Muller (inverse-CDF on a single draw). The switch CHANGES the
   /// simulated randomness (opt-in, off by default: the xoshiro streams
   /// stay the repo-wide reproducibility baseline); within counter mode,
-  /// runs are deterministic across StepModes and worker counts and
+  /// runs are deterministic across worker counts and
   /// snapshot/restore replays bit-identically (the mode is carried by the
   /// image). Must not be called while an epoch is open; idempotent.
   void enable_counter_rng();
@@ -353,8 +352,7 @@ class SimSystem {
   // eventually blind the detector for that slot. Execution itself is
   // unaffected: the workload still runs, progress and epochs_run still
   // advance, and the per-slot RNG stream is untouched — which is what
-  // keeps faulted runs bit-reproducible across StepModes and worker
-  // counts.
+  // keeps faulted runs bit-reproducible across worker counts.
   //
   // With a per-feature plane (sensor.feature_fraction < 1), a non-dropout
   // fault corrupts individual counters and validation quarantines only the
@@ -516,7 +514,7 @@ class SimSystem {
 
   /// Rebuilds this system from a captured image, bit-identically: a run
   /// continued from the restored state produces exactly the bytes the
-  /// uninterrupted run would, for every StepMode and worker count. The
+  /// uninterrupted run would, for every worker count. The
   /// existing process population is discarded wholesale. Throws
   /// std::logic_error if an epoch is open (the same guard family as
   /// reserve/spawn-while-open), SerialError(kIncompatible) when the

@@ -1,10 +1,10 @@
 // Persistent worker pool with a static-sharding parallel-for primitive.
 //
-// Built for the engine's epoch loop: one job per epoch phase, dispatched to
+// Built for the engine's epoch loop: one job per epoch, dispatched to
 // long-lived workers, with the index range split into one contiguous chunk
 // per shard. Dispatch stores a plain function pointer + context pointer, so
-// a parallel_for call performs zero heap allocations — a requirement of the
-// steady-state no-allocation contract on the per-epoch hot path.
+// a parallel_for_shards call performs zero heap allocations — a requirement
+// of the steady-state no-allocation contract on the per-epoch hot path.
 //
 // The chunk assignment depends only on (n, shard count), never on timing,
 // so work that is deterministic per index stays deterministic under any
@@ -42,8 +42,8 @@ class ThreadPool {
   /// Jobs dispatched to the worker shards since construction. Degenerate
   /// runs that stay inline on the caller (no workers, or n <= 1) are not
   /// counted here — they land in inline_run_count(). This is the
-  /// observability hook behind the fused-step contract: one engine epoch
-  /// must cost exactly one dispatch.
+  /// observability hook behind the engine's one-dispatch contract: one
+  /// engine epoch must cost exactly one dispatch.
   [[nodiscard]] std::uint64_t dispatch_count() const noexcept {
     return dispatch_count_;
   }
@@ -57,24 +57,14 @@ class ThreadPool {
     return inline_run_count_;
   }
 
-  /// Runs body(begin, end) over a partition of [0, n). Blocks until every
-  /// shard has finished. Only one thread may dispatch jobs at a time (the
-  /// pool is an engine-loop primitive, not a general task queue). If any
-  /// shard throws, the pool still joins every shard, then rethrows the
-  /// first exception on the dispatching thread — matching the sequential
-  /// path's behavior (remaining shards may or may not have run).
-  template <typename F>
-  void parallel_for(std::size_t n, const F& body) {
-    run_job(
-        n,
-        [](void* ctx, std::size_t, std::size_t begin, std::size_t end) {
-          (*static_cast<const F*>(ctx))(begin, end);
-        },
-        const_cast<void*>(static_cast<const void*>(&body)));
-  }
-
-  /// As parallel_for, but body(shard, begin, end) also receives the shard
-  /// index (< shard_count()), for writers that own per-shard buffers.
+  /// Runs body(shard, begin, end) over a partition of [0, n), one
+  /// contiguous chunk per shard (shard < shard_count()), for writers that
+  /// own per-shard buffers. Blocks until every shard has finished. Only one
+  /// thread may dispatch jobs at a time (the pool is an engine-loop
+  /// primitive, not a general task queue). If any shard throws, the pool
+  /// still joins every shard, then rethrows the first exception on the
+  /// dispatching thread — matching the sequential path's behavior
+  /// (remaining shards may or may not have run).
   template <typename F>
   void parallel_for_shards(std::size_t n, const F& body) {
     run_job(

@@ -10,13 +10,12 @@
 //      kernel (the LSTM) must get the same guarantee through the default
 //      adapters.
 //
-//   2. Engine level: StepMode::kBatched runs — across vote-based (SVM,
+//   2. Engine level: engine runs — across vote-based (SVM,
 //      accumulated-view statistical), summary-capable (MLP) and
 //      newest-only (statistical) detectors — are bit-identical to the
-//      fused and split schedules and to the sequential engine for worker
-//      counts {1, 2, 8} over 500-epoch runs that mix kills, natural
-//      completions and throttles (exercising slot compaction under the
-//      feature plane).
+//      scalar ReferenceLoop (reference_loop.hpp) for worker counts
+//      {1, 2, 8} over 500-epoch runs that mix kills, natural completions
+//      and throttles (exercising slot compaction under the feature plane).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -34,6 +33,7 @@
 #include "ml/stat_detector.hpp"
 #include "ml/svm.hpp"
 #include "ml/window_accumulator.hpp"
+#include "reference_loop.hpp"
 #include "sim/system.hpp"
 #include "util/rng.hpp"
 
@@ -271,9 +271,7 @@ TEST(BatchInfer, LstmThroughDefaultAdapterMatchesScalar) {
 namespace valkyrie::core {
 namespace {
 
-using StepMode = ValkyrieEngine::StepMode;
-
-/// Signature workload with optional finite lifetime (mirrors the fused
+/// Signature workload with optional finite lifetime (mirrors the parallel
 /// determinism suite, so batched runs hit the same kill/completion mix).
 class SigWorkload final : public sim::Workload {
  public:
@@ -320,11 +318,9 @@ struct RunResult {
   std::vector<std::vector<hpc::HpcSample>> histories;
 };
 
-RunResult run_engine(const ml::Detector& detector, std::size_t worker_threads,
-                     StepMode mode) {
-  sim::SimSystem sys;
-  ValkyrieEngine engine(sys, detector, worker_threads, mode);
-
+/// Drives one run through either ValkyrieEngine or the ReferenceLoop.
+template <typename Driver>
+RunResult run(sim::SimSystem& sys, Driver& driver) {
   std::vector<sim::ProcessId> pids;
   for (std::size_t i = 0; i < kProcs; ++i) {
     const bool attack = i % 6 == 1;
@@ -340,26 +336,26 @@ RunResult run_engine(const ml::Detector& detector, std::size_t worker_threads,
     } else {
       actuator = std::make_unique<CgroupCpuActuator>();
     }
-    engine.attach(pid, ValkyrieConfig{}, std::move(actuator));
+    driver.attach(pid, ValkyrieConfig{}, std::move(actuator));
     pids.push_back(pid);
   }
 
   RunResult r;
   r.actions.reserve(kEpochs);
   for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
-    engine.step();
+    driver.step();
     std::vector<ValkyrieMonitor::Action> epoch_actions;
     epoch_actions.reserve(pids.size());
     for (const sim::ProcessId pid : pids) {
-      epoch_actions.push_back(engine.last_action(pid));
+      epoch_actions.push_back(driver.last_action(pid));
     }
     r.actions.push_back(std::move(epoch_actions));
   }
 
   for (const sim::ProcessId pid : pids) {
-    r.states.push_back(engine.monitor(pid).state());
-    r.threats.push_back(engine.monitor(pid).threat());
-    r.measurements.push_back(engine.monitor(pid).measurements());
+    r.states.push_back(driver.monitor(pid).state());
+    r.threats.push_back(driver.monitor(pid).threat());
+    r.measurements.push_back(driver.monitor(pid).measurements());
     r.exits.push_back(sys.exit_reason(pid));
     r.progress.push_back(sys.workload(pid).total_progress());
     r.sched_factors.push_back(sys.scheduler().weight_factor(pid));
@@ -396,15 +392,17 @@ void expect_identical(const RunResult& a, const RunResult& b,
   }
 }
 
-void expect_batched_matches_all_schedules(const ml::Detector& detector,
-                                          const char* label) {
-  const RunResult baseline = run_engine(detector, 1, StepMode::kFused);
+void expect_engine_matches_reference(const ml::Detector& detector,
+                                     const char* label) {
+  sim::SimSystem reference_sys;
+  ReferenceLoop reference_loop(reference_sys, detector);
+  const RunResult reference = run(reference_sys, reference_loop);
 
   // The run must mix outcomes or the equality proves nothing.
   bool saw_kill = false;
   bool saw_completion = false;
   bool saw_survivor = false;
-  for (const sim::ExitReason exit : baseline.exits) {
+  for (const sim::ExitReason exit : reference.exits) {
     saw_kill |= exit == sim::ExitReason::kKilled;
     saw_completion |= exit == sim::ExitReason::kCompleted;
     saw_survivor |= exit == sim::ExitReason::kRunning;
@@ -414,84 +412,67 @@ void expect_batched_matches_all_schedules(const ml::Detector& detector,
   ASSERT_TRUE(saw_survivor) << label;
 
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    expect_identical(baseline,
-                     run_engine(detector, threads, StepMode::kBatched),
-                     threads, label);
+    sim::SimSystem sys;
+    ValkyrieEngine engine(sys, detector, threads);
+    expect_identical(reference, run(sys, engine), threads, label);
   }
-  // Split cross-check at one worker count closes the triangle
-  // batched == fused == split (fused == split is asserted exhaustively in
-  // test_fused_engine.cpp).
-  expect_identical(baseline, run_engine(detector, 2, StepMode::kSplit), 2,
-                   label);
 }
 
-TEST(BatchedEngine, VoteDetectorBitIdenticalAcrossSchedules) {
+TEST(BatchedEngine, VoteDetectorMatchesReference) {
   const ml::SvmDetector detector =
       ml::SvmDetector::make(valkyrie::ml::training_corpus(), 3);
-  expect_batched_matches_all_schedules(detector, "svm");
+  expect_engine_matches_reference(detector, "svm");
 }
 
-TEST(BatchedEngine, SummaryDetectorBitIdenticalAcrossSchedules) {
+TEST(BatchedEngine, SummaryDetectorMatchesReference) {
   const ml::MlpDetector detector =
       ml::MlpDetector::make_small_ann(valkyrie::ml::training_corpus(), 0x5eed);
-  expect_batched_matches_all_schedules(detector, "mlp");
+  expect_engine_matches_reference(detector, "mlp");
 }
 
-TEST(BatchedEngine, StatDetectorBitIdenticalAcrossSchedules) {
+TEST(BatchedEngine, StatDetectorMatchesReference) {
   ml::StatDetectorConfig config;
   config.threshold = 0.5;
   ml::StatisticalDetector detector(config);
   detector.fit(valkyrie::ml::per_measurement_examples());
-  expect_batched_matches_all_schedules(detector, "stat-newest");
+  expect_engine_matches_reference(detector, "stat-newest");
 
   const ml::StatisticalDetector accumulated = detector.accumulated_view();
-  expect_batched_matches_all_schedules(accumulated, "stat-accumulated");
+  expect_engine_matches_reference(accumulated, "stat-accumulated");
 }
 
-TEST(BatchedEngine, BatchedPathIsOneDispatchPerEpoch) {
-  const ml::SvmDetector detector =
-      ml::SvmDetector::make(valkyrie::ml::training_corpus(), 3);
+TEST(FeaturePlane, AdmissionsBeforeReserveGrowTheStrideGeometrically) {
+  // Most drivers admit their population before (or without) reserve().
+  // Each stride change rewrites the whole plane, so the stride must grow
+  // geometrically: n admissions may cost O(log n) rewrites, never O(n).
   sim::SimSystem sys;
-  ValkyrieEngine engine(sys, detector, 2, StepMode::kBatched);
-  if (engine.shard_count() < 2) {
-    GTEST_SKIP() << "single-core machine: engine clamps to sequential";
-  }
-  for (std::size_t i = 0; i < 64; ++i) {
-    const sim::ProcessId pid = sys.spawn(std::make_unique<SigWorkload>(
-        valkyrie::ml::benign_signature(), false));
-    engine.attach(pid, ValkyrieConfig{},
-                  std::make_unique<SchedulerWeightActuator>());
-  }
-  sys.reserve_history(32);
-  const std::uint64_t before = engine.pool_dispatch_count();
-  constexpr std::uint64_t kSteps = 25;
-  for (std::uint64_t i = 0; i < kSteps; ++i) engine.step();
-  EXPECT_EQ(engine.pool_dispatch_count() - before, kSteps)
-      << "batched epoch must cost ONE dispatch";
-}
-
-TEST(BatchedEngine, SequentialScheduleRunsAreCounted) {
-  // The corrected schedule statistic: a sequential engine reports its
-  // logical phase executions instead of zero (fused/batched: 1 per epoch;
-  // split: 2 per epoch).
-  const ml::SvmDetector detector =
-      ml::SvmDetector::make(valkyrie::ml::training_corpus(), 3);
-  for (const StepMode mode :
-       {StepMode::kFused, StepMode::kBatched, StepMode::kSplit}) {
-    sim::SimSystem sys;
-    ValkyrieEngine engine(sys, detector, 1, mode);
-    for (std::size_t i = 0; i < 4; ++i) {
-      const sim::ProcessId pid = sys.spawn(std::make_unique<SigWorkload>(
-          valkyrie::ml::benign_signature(), false));
-      engine.attach(pid, ValkyrieConfig{},
-                    std::make_unique<SchedulerWeightActuator>());
+  sys.enable_feature_plane();
+  constexpr std::size_t kSpawns = 4096;
+  std::size_t stride = sys.feature_plane().stride;
+  std::size_t changes = 0;
+  for (std::size_t i = 0; i < kSpawns; ++i) {
+    sys.spawn(std::make_unique<SigWorkload>(valkyrie::ml::benign_signature(),
+                                            false));
+    const std::size_t now = sys.feature_plane().stride;
+    if (now != stride) {
+      ++changes;
+      stride = now;
     }
-    engine.run(10);
-    EXPECT_EQ(engine.pool_dispatch_count(), 0u);
-    const std::uint64_t expected = mode == StepMode::kSplit ? 20u : 10u;
-    EXPECT_EQ(engine.schedule_run_count(), expected)
-        << "mode " << static_cast<int>(mode);
+    ASSERT_GT(stride, i) << "every admitted slot needs a column";
   }
+  // The first 8-column stride, then one doubling per power of two:
+  // ceil(log2(4096 / 8)) + 1.
+  EXPECT_LE(changes, 10u);
+
+  // reserve() still floors the stride, so churn after it never regrows.
+  sys.reserve(3 * kSpawns);
+  stride = sys.feature_plane().stride;
+  EXPECT_GE(stride, 3 * kSpawns);
+  for (std::size_t i = 0; i < 2 * kSpawns; ++i) {
+    sys.spawn(std::make_unique<SigWorkload>(valkyrie::ml::benign_signature(),
+                                            false));
+  }
+  EXPECT_EQ(sys.feature_plane().stride, stride);
 }
 
 }  // namespace

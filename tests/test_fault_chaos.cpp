@@ -1,11 +1,11 @@
 // The capstone chaos campaign: a 500-epoch churn scenario with faults
 // armed on all three planes (lossy/lying sensors, throwing/garbage
 // detector, flaky actuators) plus two supervisor-recovered crashes must
-// complete with ZERO aborted epochs and land byte-identical across step
-// modes and worker counts — graceful degradation may change nothing about
-// determinism. Also pins the aborted-epoch semantics a shard exception
-// relies on: abort_epoch is idempotent, pending lifecycle ops commit
-// exactly once, and a snapshot taken after an abort resumes bit-exactly.
+// complete with ZERO aborted epochs and land byte-identical across worker
+// counts — graceful degradation may change nothing about determinism.
+// Also pins the aborted-epoch semantics a shard exception relies on:
+// abort_epoch is idempotent, pending lifecycle ops commit exactly once,
+// and a snapshot taken after an abort resumes bit-exactly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -33,7 +33,6 @@ namespace {
 using core::SupervisedEngine;
 using core::SupervisedWorld;
 using core::ValkyrieEngine;
-using StepMode = ValkyrieEngine::StepMode;
 
 ml::TraceSet training_corpus() {
   util::Rng rng(0xc0ffee);
@@ -105,14 +104,13 @@ constexpr std::size_t kEpochs = 500;
 
 SupervisedEngine::WorldFactory chaos_factory(const ml::Detector& detector,
                                              const FaultPlane& plane,
-                                             std::size_t threads,
-                                             StepMode mode) {
-  return [&detector, &plane, threads,
-          mode](const snapshot::SnapshotImage* image) -> SupervisedWorld {
+                                             std::size_t threads) {
+  return [&detector, &plane,
+          threads](const snapshot::SnapshotImage* image) -> SupervisedWorld {
     SupervisedWorld world;
     world.system = std::make_unique<sim::SimSystem>();
-    world.engine = std::make_unique<ValkyrieEngine>(*world.system, detector,
-                                                    threads, mode);
+    world.engine =
+        std::make_unique<ValkyrieEngine>(*world.system, detector, threads);
     world.engine->arm_faults(&plane);
     if (image == nullptr) {
       world.driver =
@@ -135,8 +133,7 @@ TEST(FaultChaos, FiveHundredEpochCampaignSurvivesAllThreePlanesAndCrashes) {
   // any of the 500 steps; the fault plane must have actually bitten.
   std::vector<std::uint8_t> golden;
   {
-    const SupervisedWorld world =
-        chaos_factory(detector, plane, 1, StepMode::kFused)(nullptr);
+    const SupervisedWorld world = chaos_factory(detector, plane, 1)(nullptr);
     for (std::size_t i = 0; i < kEpochs; ++i) {
       ASSERT_NO_THROW(world.driver->step()) << "epoch " << i << " aborted";
     }
@@ -154,71 +151,67 @@ TEST(FaultChaos, FiveHundredEpochCampaignSurvivesAllThreePlanesAndCrashes) {
     EXPECT_GT(stats.policy_kills + stats.driver_kills, 0u);
   }
 
-  // Chaos + crashes, across the full mode x worker grid: the supervisor
-  // loses the world twice mid-campaign — and in one grid cell the second
-  // crash additionally finds its latest checkpoint corrupted, forcing the
+  // Chaos + crashes, at every worker count: the supervisor loses the
+  // world twice mid-campaign — and in one run the second crash
+  // additionally finds its latest checkpoint corrupted, forcing the
   // previous-generation fallback — and must still finish on the same
   // bytes every time.
-  constexpr StepMode kModes[] = {StepMode::kSplit, StepMode::kFused,
-                                 StepMode::kBatched};
-  constexpr std::size_t kWorkers[] = {1, 2, 8};
-  for (const StepMode mode : kModes) {
-    for (const std::size_t threads : kWorkers) {
-      const bool corrupt = mode == StepMode::kFused && threads == 2;
-      SupervisedEngine::Config config;
-      config.checkpoint_interval = 32;
-      config.crash_epochs = {123, 377};
-      if (corrupt) {
-        // Damage the step-352 checkpoint: the crash at 377 must reach
-        // past it to the step-320 generation (57 epochs of replay).
-        config.corrupt_checkpoint_epochs = {352};
-      }
-      SupervisedEngine supervisor(
-          chaos_factory(detector, plane, threads, mode), config);
-      ASSERT_NO_THROW(supervisor.run(kEpochs))
-          << "mode " << static_cast<int>(mode) << ", " << threads
-          << " workers";
-      const SupervisedEngine::Health health = supervisor.health();
-      EXPECT_EQ(health.injected_crashes, 2u);
-      EXPECT_EQ(health.recoveries, 2u)
-          << "only the injected crashes may trigger recovery — a step "
-             "exception here means containment failed";
-      EXPECT_EQ(health.fallback_recoveries, corrupt ? 1u : 0u);
-      if (corrupt) {
-        EXPECT_EQ(health.worst_replay, 57u)
-            << "the fallback must restore step 320, not the torn 352";
-      }
-      EXPECT_EQ(snapshot::encode(snapshot::capture(*supervisor.driver())),
-                golden)
-          << "mode " << static_cast<int>(mode) << ", " << threads
-          << " workers";
+  constexpr std::pair<std::size_t, bool> kRuns[] = {
+      {1, false}, {2, false}, {8, false}, {2, true}};
+  for (const auto& [threads, corrupt] : kRuns) {
+    SupervisedEngine::Config config;
+    config.checkpoint_interval = 32;
+    config.crash_epochs = {123, 377};
+    if (corrupt) {
+      // Damage the step-352 checkpoint: the crash at 377 must reach past
+      // it to the step-320 generation (57 epochs of replay).
+      config.corrupt_checkpoint_epochs = {352};
     }
+    SupervisedEngine supervisor(chaos_factory(detector, plane, threads),
+                                config);
+    ASSERT_NO_THROW(supervisor.run(kEpochs))
+        << threads << " workers, corrupt " << corrupt;
+    const SupervisedEngine::Health health = supervisor.health();
+    EXPECT_EQ(health.injected_crashes, 2u);
+    EXPECT_EQ(health.recoveries, 2u)
+        << "only the injected crashes may trigger recovery — a step "
+           "exception here means containment failed";
+    EXPECT_EQ(health.fallback_recoveries, corrupt ? 1u : 0u);
+    if (corrupt) {
+      EXPECT_EQ(health.worst_replay, 57u)
+          << "the fallback must restore step 320, not the torn 352";
+    }
+    EXPECT_EQ(snapshot::encode(snapshot::capture(*supervisor.driver())),
+              golden)
+        << threads << " workers, corrupt " << corrupt;
   }
 }
 
-TEST(FaultChaos, BatchedModeFallsBackAndStaysBitIdentical) {
+TEST(FaultChaos, BatchFallbackStaysBitIdenticalAcrossWorkers) {
   // A detector-fault rate high enough that most batches contain a faulted
-  // column forces the batched engine onto its per-slot fallback almost
-  // every epoch — the hardest case for batched-vs-fused identity.
+  // column forces the engine onto its per-slot fallback almost every
+  // epoch — and which slots share a batch depends on the shard layout, so
+  // this is the hardest case for worker-count identity.
   const ml::SvmDetector inner = ml::SvmDetector::make(training_corpus(), 3);
   FaultPlane plane(0xfa11);
   plane.detector = {.throw_rate = 0.15, .garbage_rate = 0.0};
   const FaultyDetector detector(inner, plane);
 
-  auto run = [&](std::size_t threads, StepMode mode) {
+  auto run = [&](std::size_t threads) {
     const SupervisedWorld world =
-        chaos_factory(detector, plane, threads, mode)(nullptr);
+        chaos_factory(detector, plane, threads)(nullptr);
     for (std::size_t i = 0; i < 200; ++i) world.driver->step();
     return std::make_pair(snapshot::encode(snapshot::capture(*world.driver)),
                           world.engine->fault_health());
   };
-  const auto [golden, golden_health] = run(1, StepMode::kFused);
+  const auto [golden, golden_health] = run(1);
   ASSERT_GT(golden_health.detector_faults, 50u);
-  const auto [batched, batched_health] = run(8, StepMode::kBatched);
-  EXPECT_EQ(batched, golden);
-  EXPECT_GT(batched_health.batch_fallbacks, 0u)
+  EXPECT_GT(golden_health.batch_fallbacks, 0u)
       << "this rate must actually exercise the fallback path";
-  EXPECT_EQ(batched_health.detector_faults, golden_health.detector_faults)
+  const auto [sharded, sharded_health] = run(8);
+  EXPECT_EQ(sharded, golden);
+  EXPECT_GT(sharded_health.batch_fallbacks, 0u);
+  EXPECT_EQ(sharded_health.detector_faults, golden_health.detector_faults)
       << "the fallback must replay the same per-column fault decisions";
 }
 
@@ -354,7 +347,7 @@ TEST(FaultChaos, SnapshotAfterAbortedEpochResumesBitExactly) {
   const ThrowOnceDetector detector(inner, fuse);
 
   sim::SimSystem sys;
-  ValkyrieEngine engine(sys, detector, 2, StepMode::kFused);
+  ValkyrieEngine engine(sys, detector, 2);
   sim::ScenarioDriver driver(engine, churn_script());
   for (int i = 0; i < 90; ++i) driver.step();
 
@@ -373,7 +366,7 @@ TEST(FaultChaos, SnapshotAfterAbortedEpochResumesBitExactly) {
   // state hash, so a snapshot of the faulted run interoperates with a
   // fault-free engine.
   sim::SimSystem sys2;
-  ValkyrieEngine engine2(sys2, inner, 2, StepMode::kFused);
+  ValkyrieEngine engine2(sys2, inner, 2);
   snapshot::restore(image, engine2, snapshot::RestoreContext{});
   sim::ScenarioDriver driver2(engine2, churn_script(), image.driver);
 

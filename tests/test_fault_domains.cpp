@@ -4,10 +4,10 @@
 // rack-like group of pids dark together; the per-feature layer quarantines
 // individual sensor COLUMNS instead of whole samples. Both are pure
 // functions of (seed, identity, epoch), so everything here is pinned
-// exactly: burst membership replays bit-identically across step modes and
-// worker counts, FaultHealth counters land on the same values everywhere,
-// and per-feature degradation provably buys strictly fewer blind epochs
-// than whole-sample quarantine under the identical fault schedule.
+// exactly: burst membership replays bit-identically across worker counts,
+// FaultHealth counters land on the same values everywhere, and
+// per-feature degradation provably buys strictly fewer blind epochs than
+// whole-sample quarantine under the identical fault schedule.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,7 +29,6 @@ namespace valkyrie::fault {
 namespace {
 
 using core::ValkyrieEngine;
-using StepMode = ValkyrieEngine::StepMode;
 
 ml::TraceSet training_corpus() {
   util::Rng rng(0xc0ffee);
@@ -179,7 +178,7 @@ TEST(FaultDomains, InvalidRatesThrowAtArmTime) {
 
   const auto arm = [&](const FaultPlane& plane) {
     sim::SimSystem sys;
-    ValkyrieEngine engine(sys, detector, 1, StepMode::kFused);
+    ValkyrieEngine engine(sys, detector, 1);
     engine.arm_faults(&plane);
   };
 
@@ -232,10 +231,9 @@ struct RunResult {
 };
 
 RunResult run_campaign(const ml::Detector& detector, const FaultPlane& plane,
-                       std::size_t threads, StepMode mode,
-                       std::size_t epochs) {
+                       std::size_t threads, std::size_t epochs) {
   sim::SimSystem sys;
-  ValkyrieEngine engine(sys, detector, threads, mode);
+  ValkyrieEngine engine(sys, detector, threads);
   engine.arm_faults(&plane);
   sim::ScenarioDriver driver(engine, churn_script());
   for (std::size_t i = 0; i < epochs; ++i) driver.step();
@@ -260,13 +258,12 @@ FaultPlane domain_plane() {
   return plane;
 }
 
-TEST(FaultDomains, PinnedCountersAndBitIdenticalBytesAcrossModesAndWorkers) {
+TEST(FaultDomains, PinnedCountersAndBitIdenticalBytesAcrossWorkers) {
   const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
   const FaultPlane plane = domain_plane();
   constexpr std::size_t kEpochs = 200;
 
-  const RunResult golden =
-      run_campaign(detector, plane, 1, StepMode::kFused, kEpochs);
+  const RunResult golden = run_campaign(detector, plane, 1, kEpochs);
   // The scripted schedule is a pure hash of (seed, identity, epoch), so
   // these are exact, not statistical. Any drift in the injection order,
   // the mask contract or the burst schedule moves at least one of them.
@@ -275,27 +272,19 @@ TEST(FaultDomains, PinnedCountersAndBitIdenticalBytesAcrossModesAndWorkers) {
   EXPECT_GT(golden.health.coasted, 0u) << "bursts must quarantine slots";
   EXPECT_GT(golden.health.actuator_failures, 0u);
 
-  constexpr StepMode kModes[] = {StepMode::kSplit, StepMode::kFused,
-                                 StepMode::kBatched};
-  constexpr std::size_t kWorkers[] = {1, 2, 8};
-  for (const StepMode mode : kModes) {
-    for (const std::size_t threads : kWorkers) {
-      const RunResult run =
-          run_campaign(detector, plane, threads, mode, kEpochs);
-      const std::string where = "mode " +
-                                std::to_string(static_cast<int>(mode)) + ", " +
-                                std::to_string(threads) + " workers";
-      EXPECT_EQ(run.bytes, golden.bytes) << where;
-      // FaultHealth is part of the determinism contract too: the same
-      // schedule must be OBSERVED identically, not just survived.
-      EXPECT_EQ(run.health.coasted, golden.health.coasted) << where;
-      EXPECT_EQ(run.health.blind, golden.health.blind) << where;
-      EXPECT_EQ(run.health.masked, golden.health.masked) << where;
-      EXPECT_EQ(run.health.actuator_failures, golden.health.actuator_failures)
-          << where;
-      EXPECT_EQ(run.health.retries, golden.health.retries) << where;
-      EXPECT_EQ(run.health.escalations, golden.health.escalations) << where;
-    }
+  for (const std::size_t threads : {2u, 8u}) {
+    const RunResult run = run_campaign(detector, plane, threads, kEpochs);
+    const std::string where = std::to_string(threads) + " workers";
+    EXPECT_EQ(run.bytes, golden.bytes) << where;
+    // FaultHealth is part of the determinism contract too: the same
+    // schedule must be OBSERVED identically, not just survived.
+    EXPECT_EQ(run.health.coasted, golden.health.coasted) << where;
+    EXPECT_EQ(run.health.blind, golden.health.blind) << where;
+    EXPECT_EQ(run.health.masked, golden.health.masked) << where;
+    EXPECT_EQ(run.health.actuator_failures, golden.health.actuator_failures)
+        << where;
+    EXPECT_EQ(run.health.retries, golden.health.retries) << where;
+    EXPECT_EQ(run.health.escalations, golden.health.escalations) << where;
   }
 }
 
@@ -307,10 +296,8 @@ TEST(FaultDomains, ScriptedScheduleLandsOnExactCounters) {
   plane.sensor = {.stuck_rate = 0.05, .nan_rate = 0.03, .saturate_rate = 0.02};
   plane.sensor.feature_fraction = 0.4;
 
-  const RunResult run =
-      run_campaign(detector, plane, 1, StepMode::kFused, 200);
-  const RunResult again =
-      run_campaign(detector, plane, 8, StepMode::kBatched, 200);
+  const RunResult run = run_campaign(detector, plane, 1, 200);
+  const RunResult again = run_campaign(detector, plane, 8, 200);
   EXPECT_EQ(run.bytes, again.bytes);
 
   EXPECT_EQ(run.health.masked, again.health.masked);
@@ -346,10 +333,8 @@ TEST(FaultDomains, PerFeatureQuarantineBuysStrictlyFewerBlindEpochs) {
   partial.sensor = whole.sensor;
   partial.sensor.feature_fraction = 0.25;
 
-  const RunResult whole_run =
-      run_campaign(detector, whole, 1, StepMode::kFused, 400);
-  const RunResult partial_run =
-      run_campaign(detector, partial, 1, StepMode::kFused, 400);
+  const RunResult whole_run = run_campaign(detector, whole, 1, 400);
+  const RunResult partial_run = run_campaign(detector, partial, 1, 400);
 
   EXPECT_EQ(whole_run.health.masked, 0u)
       << "whole-sample mode must never report a partial plane";

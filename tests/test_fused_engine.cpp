@@ -1,28 +1,25 @@
-// Determinism contract of the fused single-dispatch engine schedule: a
-// fused run must be bit-identical to the split two-dispatch schedule AND to
-// the fully sequential engine, for any worker count — actions, monitor
-// states, threat indices, measurement counts, HPC histories, scheduler
-// weights, cgroup caps, progress and exit reasons. The fused schedule also
-// carries a structural contract: exactly ONE pool dispatch per epoch
-// (vs. two for the split schedule), observed through the pool's dispatch
-// counter.
+// Structural contract of the engine's fused step: simulation, inference and
+// response for an epoch run as ONE schedule run, which costs exactly one
+// pool dispatch when the engine is sharded and none when it runs on one
+// worker (observed through the pool's dispatch counter). Worker requests
+// are clamped to the hardware, and because the fused step never visits a
+// dead process's attachment, the step-tag staleness check must make its
+// last_action read as kNone. Bit-identity of the step against the
+// sequential ReferenceLoop at every worker count is test_parallel_engine's.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string_view>
 #include <thread>
-#include <vector>
 
 #include "core/actuator.hpp"
 #include "core/valkyrie.hpp"
 #include "ml/svm.hpp"
 #include "sim/system.hpp"
-#include "util/thread_pool.hpp"
+#include "sim/workload.hpp"
 
 namespace valkyrie::core {
 namespace {
-
-using StepMode = ValkyrieEngine::StepMode;
 
 // --- Workloads ---------------------------------------------------------------
 
@@ -45,15 +42,14 @@ hpc::HpcSignature attack_signature() {
   return sig;
 }
 
-/// Signature-driven workload; finishes after `lifetime` epochs (0 = never),
-/// so runs mix completions into the slot-compaction bookkeeping.
+/// Signature-driven benign workload; finishes after `lifetime` epochs
+/// (0 = never).
 class SigWorkload final : public sim::Workload {
  public:
-  SigWorkload(hpc::HpcSignature sig, bool attack, std::uint64_t lifetime = 0)
-      : sig_(sig), attack_(attack), lifetime_(lifetime) {}
+  explicit SigWorkload(std::uint64_t lifetime = 0) : lifetime_(lifetime) {}
 
   [[nodiscard]] std::string_view name() const override { return "sig"; }
-  [[nodiscard]] bool is_attack() const override { return attack_; }
+  [[nodiscard]] bool is_attack() const override { return false; }
   [[nodiscard]] std::string_view progress_units() const override {
     return "epochs";
   }
@@ -70,8 +66,7 @@ class SigWorkload final : public sim::Workload {
   [[nodiscard]] double total_progress() const override { return progress_; }
 
  private:
-  hpc::HpcSignature sig_;
-  bool attack_;
+  hpc::HpcSignature sig_ = benign_signature();
   std::uint64_t lifetime_;
   double progress_ = 0.0;
   std::uint64_t epochs_ = 0;
@@ -95,164 +90,29 @@ ml::TraceSet training_corpus() {
   return set;
 }
 
-// --- Full-run capture --------------------------------------------------------
-
-constexpr std::size_t kProcs = 24;
-constexpr std::size_t kEpochs = 500;
-
-struct RunResult {
-  // actions[epoch][attachment index]
-  std::vector<std::vector<ValkyrieMonitor::Action>> actions;
-  std::vector<ProcessState> states;
-  std::vector<double> threats;
-  std::vector<std::size_t> measurements;
-  std::vector<sim::ExitReason> exits;
-  std::vector<double> progress;
-  std::vector<double> sched_factors;
-  std::vector<double> cpu_caps;
-  std::vector<std::vector<hpc::HpcSample>> histories;
-};
-
-RunResult run_engine(std::size_t worker_threads, StepMode mode) {
-  const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
-  sim::SimSystem sys;
-  ValkyrieEngine engine(sys, detector, worker_threads, mode);
-
-  std::vector<sim::ProcessId> pids;
-  for (std::size_t i = 0; i < kProcs; ++i) {
-    // Mostly benign, a few attacks (terminated mid-run) and a few finite
-    // benign programs (natural completion mid-run), with a couple of live
-    // processes left *unattached* so the fused dispatch also walks slots
-    // without a monitor.
-    const bool attack = i % 6 == 1;
-    const std::uint64_t lifetime = i % 8 == 5 ? 120 + i : 0;
-    const hpc::HpcSignature sig =
-        attack ? attack_signature() : benign_signature();
-    const sim::ProcessId pid =
-        sys.spawn(std::make_unique<SigWorkload>(sig, attack, lifetime));
-    if (i % 11 == 7) continue;  // unattached live process
-    std::unique_ptr<Actuator> actuator;
-    if (i % 2 == 0) {
-      actuator = std::make_unique<SchedulerWeightActuator>();
-    } else {
-      actuator = std::make_unique<CgroupCpuActuator>();
-    }
-    engine.attach(pid, ValkyrieConfig{}, std::move(actuator));
-    pids.push_back(pid);
-  }
-
-  RunResult r;
-  r.actions.reserve(kEpochs);
-  for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
-    engine.step();
-    std::vector<ValkyrieMonitor::Action> epoch_actions;
-    epoch_actions.reserve(pids.size());
-    for (const sim::ProcessId pid : pids) {
-      epoch_actions.push_back(engine.last_action(pid));
-    }
-    r.actions.push_back(std::move(epoch_actions));
-  }
-
-  for (const sim::ProcessId pid : pids) {
-    r.states.push_back(engine.monitor(pid).state());
-    r.threats.push_back(engine.monitor(pid).threat());
-    r.measurements.push_back(engine.monitor(pid).measurements());
-    r.exits.push_back(sys.exit_reason(pid));
-    r.progress.push_back(sys.workload(pid).total_progress());
-    r.sched_factors.push_back(sys.scheduler().weight_factor(pid));
-    r.cpu_caps.push_back(sys.cgroup_caps(pid).cpu);
-    r.histories.push_back(sys.sample_history(pid));
-  }
-  return r;
-}
-
-void expect_identical(const RunResult& a, const RunResult& b,
-                      std::size_t threads, StepMode mode) {
-  const char* mode_name =
-      mode == StepMode::kFused ? "fused" : "split";
-  ASSERT_EQ(a.actions.size(), b.actions.size());
-  for (std::size_t e = 0; e < a.actions.size(); ++e) {
-    ASSERT_EQ(a.actions[e], b.actions[e])
-        << mode_name << ", " << threads << " workers, epoch " << e;
-  }
-  EXPECT_EQ(a.states, b.states) << mode_name << ", " << threads << " workers";
-  EXPECT_EQ(a.measurements, b.measurements)
-      << mode_name << ", " << threads << " workers";
-  EXPECT_EQ(a.exits, b.exits) << mode_name << ", " << threads << " workers";
-  // Doubles compared exactly: the contract is bit-identical, not close.
-  EXPECT_EQ(a.threats, b.threats) << mode_name << ", " << threads;
-  EXPECT_EQ(a.progress, b.progress) << mode_name << ", " << threads;
-  EXPECT_EQ(a.sched_factors, b.sched_factors) << mode_name << ", " << threads;
-  EXPECT_EQ(a.cpu_caps, b.cpu_caps) << mode_name << ", " << threads;
-  ASSERT_EQ(a.histories.size(), b.histories.size());
-  for (std::size_t p = 0; p < a.histories.size(); ++p) {
-    ASSERT_EQ(a.histories[p].size(), b.histories[p].size())
-        << mode_name << ", " << threads << " workers, attachment " << p;
-    for (std::size_t e = 0; e < a.histories[p].size(); ++e) {
-      ASSERT_EQ(a.histories[p][e].counts, b.histories[p][e].counts)
-          << mode_name << ", " << threads << " workers, attachment " << p
-          << ", epoch " << e;
-    }
-  }
-}
-
-TEST(FusedEngine, FusedSplitAndSequentialAreBitIdentical) {
-  // Baseline: fully sequential split schedule (the PR 2 reference path).
-  const RunResult baseline = run_engine(1, StepMode::kSplit);
-
-  // The run must exercise mixed outcomes or the test proves nothing.
-  bool saw_kill = false;
-  bool saw_completion = false;
-  bool saw_survivor = false;
-  for (const sim::ExitReason exit : baseline.exits) {
-    saw_kill |= exit == sim::ExitReason::kKilled;
-    saw_completion |= exit == sim::ExitReason::kCompleted;
-    saw_survivor |= exit == sim::ExitReason::kRunning;
-  }
-  ASSERT_TRUE(saw_kill);
-  ASSERT_TRUE(saw_completion);
-  ASSERT_TRUE(saw_survivor);
-  bool saw_throttle = false;
-  for (const auto& epoch_actions : baseline.actions) {
-    for (const ValkyrieMonitor::Action action : epoch_actions) {
-      saw_throttle |= action == ValkyrieMonitor::Action::kThrottled;
-    }
-  }
-  ASSERT_TRUE(saw_throttle);
-
-  for (const StepMode mode : {StepMode::kFused, StepMode::kSplit}) {
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      if (mode == StepMode::kSplit && threads == 1) continue;  // baseline
-      const RunResult run = run_engine(threads, mode);
-      expect_identical(baseline, run, threads, mode);
-    }
-  }
-}
-
 TEST(FusedEngine, FusedPathIsOneDispatchPerEpoch) {
   const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
-  for (const StepMode mode : {StepMode::kFused, StepMode::kSplit}) {
+  for (const std::size_t threads : {1u, 2u}) {
     sim::SimSystem sys;
-    ValkyrieEngine engine(sys, detector, 2, mode);
-    if (engine.shard_count() < 2) {
-      GTEST_SKIP() << "single-core machine: engine clamps to sequential";
-    }
+    ValkyrieEngine engine(sys, detector, threads);
     for (std::size_t i = 0; i < 64; ++i) {
-      const sim::ProcessId pid = sys.spawn(
-          std::make_unique<SigWorkload>(benign_signature(), false));
+      const sim::ProcessId pid = sys.spawn(std::make_unique<SigWorkload>());
       engine.attach(pid, ValkyrieConfig{},
                     std::make_unique<SchedulerWeightActuator>());
     }
     sys.reserve_history(32);
-    const std::uint64_t before = engine.pool_dispatch_count();
+    const std::uint64_t runs_before = engine.schedule_run_count();
+    const std::uint64_t dispatches_before = engine.pool_dispatch_count();
     constexpr std::uint64_t kSteps = 25;
     for (std::uint64_t i = 0; i < kSteps; ++i) engine.step();
-    const std::uint64_t dispatches = engine.pool_dispatch_count() - before;
-    if (mode == StepMode::kFused) {
-      EXPECT_EQ(dispatches, kSteps) << "fused epoch must cost ONE dispatch";
+    EXPECT_EQ(engine.schedule_run_count() - runs_before, kSteps)
+        << threads << " workers";
+    const std::uint64_t dispatches =
+        engine.pool_dispatch_count() - dispatches_before;
+    if (engine.shard_count() >= 2) {
+      EXPECT_EQ(dispatches, kSteps) << "an epoch must cost ONE dispatch";
     } else {
-      EXPECT_EQ(dispatches, 2 * kSteps)
-          << "split epoch costs a sim dispatch + an inference dispatch";
+      EXPECT_EQ(dispatches, 0u) << threads << " workers";
     }
   }
 }
@@ -261,8 +121,7 @@ TEST(FusedEngine, SequentialEngineNeverDispatches) {
   const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
   sim::SimSystem sys;
   ValkyrieEngine engine(sys, detector, 1);
-  const sim::ProcessId pid =
-      sys.spawn(std::make_unique<SigWorkload>(benign_signature(), false));
+  const sim::ProcessId pid = sys.spawn(std::make_unique<SigWorkload>());
   engine.attach(pid, ValkyrieConfig{},
                 std::make_unique<SchedulerWeightActuator>());
   engine.run(10);
@@ -281,16 +140,13 @@ TEST(FusedEngine, WorkerThreadsClampedToHardwareConcurrency) {
 }
 
 TEST(FusedEngine, LastActionOfDeadProcessReadsNone) {
-  // The fused schedule never visits a dead process's attachment; the
-  // step-tag staleness check must make that indistinguishable from the
-  // split schedule's explicit kNone write.
+  // The fused step never visits a dead process's attachment; the step-tag
+  // staleness check must make that read as an explicit kNone.
   const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
   sim::SimSystem sys;
-  ValkyrieEngine engine(sys, detector, 1, StepMode::kFused);
-  const sim::ProcessId finite =
-      sys.spawn(std::make_unique<SigWorkload>(benign_signature(), false, 3));
-  const sim::ProcessId endless =
-      sys.spawn(std::make_unique<SigWorkload>(benign_signature(), false));
+  ValkyrieEngine engine(sys, detector, 1);
+  const sim::ProcessId finite = sys.spawn(std::make_unique<SigWorkload>(3));
+  const sim::ProcessId endless = sys.spawn(std::make_unique<SigWorkload>());
   engine.attach(finite, ValkyrieConfig{},
                 std::make_unique<SchedulerWeightActuator>());
   engine.attach(endless, ValkyrieConfig{},

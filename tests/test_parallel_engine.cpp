@@ -1,18 +1,20 @@
-// Determinism contract of the sharded engine: for ANY worker count, a run
-// must be bit-identical to the sequential engine — monitor states, actions,
-// threat indices, HPC histories, scheduler weights, cgroup caps and exit
-// reasons. Every process owns its Rng and window state, shares are computed
-// from a serial snapshot, and actuator commands are committed serially in
-// attachment order, so nothing may depend on thread interleaving.
+// Determinism contract of the engine: for ANY worker count, a run must be
+// bit-identical to the ReferenceLoop (reference_loop.hpp) — the sequential
+// schedule spelled out with the public per-process APIs. Compared: actions, monitor
+// states, threat indices, measurement counts, HPC histories, scheduler
+// weights, cgroup caps, progress and exit reasons. The step's dispatch
+// count, worker clamp and dead-pid last_action are test_fused_engine's.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string_view>
 #include <vector>
 
 #include "core/actuator.hpp"
 #include "core/valkyrie.hpp"
 #include "ml/svm.hpp"
+#include "reference_loop.hpp"
 #include "sim/system.hpp"
 #include "sim/workload.hpp"
 #include "util/thread_pool.hpp"
@@ -96,6 +98,32 @@ ml::TraceSet training_corpus() {
 constexpr std::size_t kProcs = 24;
 constexpr std::size_t kEpochs = 500;
 
+/// Spawns the run's population into `sys` and returns the pids to attach.
+/// Mostly benign, a few attacks (terminated mid-run) and a few finite
+/// benign programs (natural completion mid-run), with a couple of live
+/// processes left *unattached* so the step also walks slots without a
+/// monitor.
+std::vector<sim::ProcessId> populate(sim::SimSystem& sys) {
+  std::vector<sim::ProcessId> attached;
+  for (std::size_t i = 0; i < kProcs; ++i) {
+    const bool attack = i % 6 == 1;
+    const std::uint64_t lifetime = i % 8 == 5 ? 120 + i : 0;
+    const hpc::HpcSignature sig =
+        attack ? attack_signature() : benign_signature();
+    const sim::ProcessId pid =
+        sys.spawn(std::make_unique<SigWorkload>(sig, attack, lifetime));
+    if (i % 11 != 7) attached.push_back(pid);
+  }
+  return attached;
+}
+
+/// Mixed actuator families: the scheduler actuator exercises the shared CFS
+/// weight map, the cgroup actuator the per-process caps.
+std::unique_ptr<Actuator> make_actuator(sim::ProcessId pid) {
+  if (pid % 2 == 0) return std::make_unique<SchedulerWeightActuator>();
+  return std::make_unique<CgroupCpuActuator>();
+}
+
 struct RunResult {
   // actions[epoch][attachment index]
   std::vector<std::vector<ValkyrieMonitor::Action>> actions;
@@ -109,49 +137,27 @@ struct RunResult {
   std::vector<std::vector<hpc::HpcSample>> histories;
 };
 
-RunResult run_engine(std::size_t worker_threads) {
-  const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
-  sim::SimSystem sys;
-  ValkyrieEngine engine(sys, detector, worker_threads);
-
-  std::vector<sim::ProcessId> pids;
-  for (std::size_t i = 0; i < kProcs; ++i) {
-    // Mostly benign, a few attacks (terminated mid-run) and a few finite
-    // benign programs (natural completion mid-run).
-    const bool attack = i % 6 == 1;
-    const std::uint64_t lifetime = i % 8 == 5 ? 120 + i : 0;
-    const hpc::HpcSignature sig =
-        attack ? attack_signature() : benign_signature();
-    const sim::ProcessId pid =
-        sys.spawn(std::make_unique<SigWorkload>(sig, attack, lifetime));
-    // Mix actuator families: the scheduler actuator exercises the shared
-    // CFS weight map, the cgroup actuator the per-process caps.
-    std::unique_ptr<Actuator> actuator;
-    if (i % 2 == 0) {
-      actuator = std::make_unique<SchedulerWeightActuator>();
-    } else {
-      actuator = std::make_unique<CgroupCpuActuator>();
-    }
-    engine.attach(pid, ValkyrieConfig{}, std::move(actuator));
-    pids.push_back(pid);
-  }
-
-  RunResult r;
-  r.actions.reserve(kEpochs);
-  for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
-    engine.step();
-    std::vector<ValkyrieMonitor::Action> epoch_actions;
-    epoch_actions.reserve(kProcs);
-    for (const sim::ProcessId pid : pids) {
-      epoch_actions.push_back(engine.last_action(pid));
-    }
-    r.actions.push_back(std::move(epoch_actions));
-  }
-
+/// Drives one run through either ValkyrieEngine or the ReferenceLoop.
+template <typename Driver>
+RunResult run(sim::SimSystem& sys, Driver& driver) {
+  const std::vector<sim::ProcessId> pids = populate(sys);
   for (const sim::ProcessId pid : pids) {
-    r.states.push_back(engine.monitor(pid).state());
-    r.threats.push_back(engine.monitor(pid).threat());
-    r.measurements.push_back(engine.monitor(pid).measurements());
+    driver.attach(pid, ValkyrieConfig{}, make_actuator(pid));
+  }
+  RunResult r;
+  for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
+    driver.step();
+    std::vector<ValkyrieMonitor::Action>& epoch_actions =
+        r.actions.emplace_back();
+    for (const sim::ProcessId pid : pids) {
+      epoch_actions.push_back(driver.last_action(pid));
+    }
+  }
+  for (const sim::ProcessId pid : pids) {
+    const ValkyrieMonitor& m = driver.monitor(pid);
+    r.states.push_back(m.state());
+    r.threats.push_back(m.threat());
+    r.measurements.push_back(m.measurements());
     r.exits.push_back(sys.exit_reason(pid));
     r.progress.push_back(sys.workload(pid).total_progress());
     r.sched_factors.push_back(sys.scheduler().weight_factor(pid));
@@ -159,6 +165,20 @@ RunResult run_engine(std::size_t worker_threads) {
     r.histories.push_back(sys.sample_history(pid));
   }
   return r;
+}
+
+RunResult run_engine(std::size_t worker_threads) {
+  const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
+  sim::SimSystem sys;
+  ValkyrieEngine engine(sys, detector, worker_threads);
+  return run(sys, engine);
+}
+
+RunResult run_reference() {
+  const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
+  sim::SimSystem sys;
+  ReferenceLoop reference(sys, detector);
+  return run(sys, reference);
 }
 
 void expect_identical(const RunResult& a, const RunResult& b,
@@ -178,22 +198,22 @@ void expect_identical(const RunResult& a, const RunResult& b,
   ASSERT_EQ(a.histories.size(), b.histories.size());
   for (std::size_t p = 0; p < a.histories.size(); ++p) {
     ASSERT_EQ(a.histories[p].size(), b.histories[p].size())
-        << threads << " workers, pid " << p;
+        << threads << " workers, attachment " << p;
     for (std::size_t e = 0; e < a.histories[p].size(); ++e) {
       ASSERT_EQ(a.histories[p][e].counts, b.histories[p][e].counts)
-          << threads << " workers, pid " << p << ", epoch " << e;
+          << threads << " workers, attachment " << p << ", epoch " << e;
     }
   }
 }
 
-TEST(ParallelEngine, ShardedRunsAreBitIdenticalToSequential) {
-  const RunResult sequential = run_engine(1);
+TEST(ParallelEngine, MatchesReferenceLoopAtEveryWorkerCount) {
+  const RunResult reference = run_reference();
 
   // The run must exercise mixed outcomes or the test proves nothing.
   bool saw_kill = false;
   bool saw_completion = false;
   bool saw_survivor = false;
-  for (const sim::ExitReason exit : sequential.exits) {
+  for (const sim::ExitReason exit : reference.exits) {
     saw_kill |= exit == sim::ExitReason::kKilled;
     saw_completion |= exit == sim::ExitReason::kCompleted;
     saw_survivor |= exit == sim::ExitReason::kRunning;
@@ -202,22 +222,23 @@ TEST(ParallelEngine, ShardedRunsAreBitIdenticalToSequential) {
   ASSERT_TRUE(saw_completion);
   ASSERT_TRUE(saw_survivor);
   bool saw_throttle = false;
-  for (const auto& epoch_actions : sequential.actions) {
+  for (const auto& epoch_actions : reference.actions) {
     for (const ValkyrieMonitor::Action action : epoch_actions) {
       saw_throttle |= action == ValkyrieMonitor::Action::kThrottled;
     }
   }
   ASSERT_TRUE(saw_throttle);
+  ASSERT_LT(reference.states.size(), kProcs) << "no unattached process";
 
-  for (const std::size_t threads : {2u, 8u}) {
-    const RunResult sharded = run_engine(threads);
-    expect_identical(sequential, sharded, threads);
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    expect_identical(reference, run_engine(threads), threads);
   }
 }
 
-TEST(ParallelSim, RunEpochMatchesSequentialBitForBit) {
-  // The simulator alone: sharded run_epoch must reproduce the sequential
-  // histories and effective shares exactly.
+TEST(ParallelSim, ShardedStepSlotsMatchSequentialBitForBit) {
+  // The simulator alone: the per-slot phase sharded over a pool must
+  // reproduce the sequential run_epoch histories and effective shares
+  // exactly.
   const auto run = [](util::ThreadPool* pool) {
     sim::SimSystem sys;
     std::vector<sim::ProcessId> pids;
@@ -229,7 +250,21 @@ TEST(ParallelSim, RunEpochMatchesSequentialBitForBit) {
     // Uneven scheduler weights so share computation is non-trivial.
     sys.apply_sched_threat_delta(pids[2], 3.0);
     sys.apply_sched_threat_delta(pids[7], 1.0);
-    for (int e = 0; e < 200; ++e) sys.run_epoch(pool);
+    for (int e = 0; e < 200; ++e) {
+      if (pool == nullptr) {
+        sys.run_epoch();
+        continue;
+      }
+      sys.begin_epoch();
+      pool->parallel_for_shards(
+          sys.live_processes().size(),
+          [&](std::size_t, std::size_t begin, std::size_t end) {
+            for (std::size_t slot = begin; slot < end; ++slot) {
+              (void)sys.step_slot(slot);
+            }
+          });
+      sys.end_epoch();
+    }
     std::vector<std::vector<hpc::HpcSample>> histories;
     std::vector<double> shares;
     for (const sim::ProcessId pid : pids) {

@@ -2,10 +2,10 @@
 // (histories reserved, command buffers and pool queues sized), one epoch —
 // workload execution, HPC capture, window fold, streaming inference,
 // monitor decisions, batched actuator commit — must perform zero heap
-// allocations, sequentially AND across a worker pool, on BOTH the fused
-// single-dispatch schedule (the SoA hot-core path) and the split
-// two-dispatch schedule. Extends the operator-new guard pattern from
-// test_window_accumulator.cpp to the whole step.
+// allocations, sequentially AND across a worker pool, including the
+// feature-plane fill and the per-shard batch detector calls. Extends the
+// operator-new guard pattern from test_window_accumulator.cpp to the whole
+// step.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -98,12 +98,10 @@ class FlappingDetector final : public ml::Detector {
 };
 
 void expect_steady_state_step_does_not_allocate(
-    std::size_t worker_threads,
-    ValkyrieEngine::StepMode mode = ValkyrieEngine::StepMode::kFused,
-    const fault::FaultPlane* plane = nullptr) {
+    std::size_t worker_threads, const fault::FaultPlane* plane = nullptr) {
   const FlappingDetector detector;
   sim::SimSystem sys;
-  ValkyrieEngine engine(sys, detector, worker_threads, mode);
+  ValkyrieEngine engine(sys, detector, worker_threads);
   if (plane != nullptr) engine.arm_faults(plane);
 
   constexpr std::size_t kProcs = 32;
@@ -146,35 +144,12 @@ void expect_steady_state_step_does_not_allocate(
   EXPECT_GE(actions_seen, kMeasured / 7 * 2 * kProcs);
 }
 
-TEST(ParallelNoAlloc, SequentialFusedStepIsAllocationFreeAfterWarmup) {
+TEST(ParallelNoAlloc, SequentialStepIsAllocationFreeAfterWarmup) {
   expect_steady_state_step_does_not_allocate(1);
 }
 
-TEST(ParallelNoAlloc, ShardedFusedStepIsAllocationFreeAfterWarmup) {
+TEST(ParallelNoAlloc, ShardedStepIsAllocationFreeAfterWarmup) {
   expect_steady_state_step_does_not_allocate(4);
-}
-
-TEST(ParallelNoAlloc, SequentialSplitStepIsAllocationFreeAfterWarmup) {
-  expect_steady_state_step_does_not_allocate(1,
-                                             ValkyrieEngine::StepMode::kSplit);
-}
-
-TEST(ParallelNoAlloc, ShardedSplitStepIsAllocationFreeAfterWarmup) {
-  expect_steady_state_step_does_not_allocate(4,
-                                             ValkyrieEngine::StepMode::kSplit);
-}
-
-// The batched schedule adds the feature-plane fill and the per-shard batch
-// detector calls to the hot path; plane, scratch and batch outputs are all
-// pre-sized, so the guarantee must hold unchanged.
-TEST(ParallelNoAlloc, SequentialBatchedStepIsAllocationFreeAfterWarmup) {
-  expect_steady_state_step_does_not_allocate(
-      1, ValkyrieEngine::StepMode::kBatched);
-}
-
-TEST(ParallelNoAlloc, ShardedBatchedStepIsAllocationFreeAfterWarmup) {
-  expect_steady_state_step_does_not_allocate(
-      4, ValkyrieEngine::StepMode::kBatched);
 }
 
 // An armed-but-idle fault plane (all rates zero) routes every epoch through
@@ -182,22 +157,14 @@ TEST(ParallelNoAlloc, ShardedBatchedStepIsAllocationFreeAfterWarmup) {
 // guarded inference with streak checks, the retry-aware command commit —
 // and none of that may allocate either: fault tolerance is free until a
 // fault actually fires.
-TEST(ParallelNoAlloc, FaultArmedIdleFusedStepIsAllocationFree) {
+TEST(ParallelNoAlloc, FaultArmedIdleStepIsAllocationFree) {
   const fault::FaultPlane plane(0x1d1e);
-  expect_steady_state_step_does_not_allocate(
-      1, ValkyrieEngine::StepMode::kFused, &plane);
+  expect_steady_state_step_does_not_allocate(1, &plane);
 }
 
-TEST(ParallelNoAlloc, FaultArmedIdleShardedFusedStepIsAllocationFree) {
+TEST(ParallelNoAlloc, FaultArmedIdleShardedStepIsAllocationFree) {
   const fault::FaultPlane plane(0x1d1e);
-  expect_steady_state_step_does_not_allocate(
-      4, ValkyrieEngine::StepMode::kFused, &plane);
-}
-
-TEST(ParallelNoAlloc, FaultArmedIdleBatchedStepIsAllocationFree) {
-  const fault::FaultPlane plane(0x1d1e);
-  expect_steady_state_step_does_not_allocate(
-      4, ValkyrieEngine::StepMode::kBatched, &plane);
+  expect_steady_state_step_does_not_allocate(4, &plane);
 }
 
 // Steady-state CHURN: with SimSystem::reserve + ValkyrieEngine::reserve +
@@ -207,11 +174,10 @@ TEST(ParallelNoAlloc, FaultArmedIdleBatchedStepIsAllocationFree) {
 // step — performs zero heap allocations: the admission queue, scheduler
 // batch ops, retirement pool, attachment table and feature plane are all
 // pre-sized.
-void expect_steady_state_churn_does_not_allocate(
-    std::size_t worker_threads, ValkyrieEngine::StepMode mode) {
+void expect_steady_state_churn_does_not_allocate(std::size_t worker_threads) {
   const FlappingDetector detector;
   sim::SimSystem sys;
-  ValkyrieEngine engine(sys, detector, worker_threads, mode);
+  ValkyrieEngine engine(sys, detector, worker_threads);
 
   constexpr std::size_t kProcs = 24;
   // The warmup must outlive the pool-priming transient: the very first
@@ -275,8 +241,11 @@ void expect_steady_state_churn_does_not_allocate(
 }
 
 TEST(ParallelNoAlloc, SequentialChurnIsAllocationFreeUnderReserve) {
-  expect_steady_state_churn_does_not_allocate(
-      1, ValkyrieEngine::StepMode::kFused);
+  expect_steady_state_churn_does_not_allocate(1);
+}
+
+TEST(ParallelNoAlloc, ShardedChurnIsAllocationFreeUnderReserve) {
+  expect_steady_state_churn_does_not_allocate(4);
 }
 
 // Retention-armed churn: same 1-in-1-out loop, but with TRUE cold-row
@@ -286,11 +255,10 @@ TEST(ParallelNoAlloc, SequentialChurnIsAllocationFreeUnderReserve) {
 // pid-map buckets, scheduler entries and history buffers all recycle
 // through the reclamation path, so unbounded spawning needs only a
 // bounded reservation and the steady-state epoch still never allocates.
-void expect_retention_churn_does_not_allocate(
-    std::size_t worker_threads, ValkyrieEngine::StepMode mode) {
+void expect_retention_churn_does_not_allocate(std::size_t worker_threads) {
   const FlappingDetector detector;
   sim::SimSystem sys;
-  ValkyrieEngine engine(sys, detector, worker_threads, mode);
+  ValkyrieEngine engine(sys, detector, worker_threads);
 
   constexpr std::size_t kProcs = 24;
   constexpr std::uint64_t kWindow = 4;
@@ -353,28 +321,11 @@ void expect_retention_churn_does_not_allocate(
 }
 
 TEST(ParallelNoAlloc, SequentialRetentionChurnIsAllocationFree) {
-  expect_retention_churn_does_not_allocate(
-      1, ValkyrieEngine::StepMode::kFused);
+  expect_retention_churn_does_not_allocate(1);
 }
 
 TEST(ParallelNoAlloc, ShardedRetentionChurnIsAllocationFree) {
-  expect_retention_churn_does_not_allocate(
-      4, ValkyrieEngine::StepMode::kFused);
-}
-
-TEST(ParallelNoAlloc, BatchedRetentionChurnIsAllocationFree) {
-  expect_retention_churn_does_not_allocate(
-      4, ValkyrieEngine::StepMode::kBatched);
-}
-
-TEST(ParallelNoAlloc, ShardedChurnIsAllocationFreeUnderReserve) {
-  expect_steady_state_churn_does_not_allocate(
-      4, ValkyrieEngine::StepMode::kFused);
-}
-
-TEST(ParallelNoAlloc, BatchedChurnIsAllocationFreeUnderReserve) {
-  expect_steady_state_churn_does_not_allocate(
-      4, ValkyrieEngine::StepMode::kBatched);
+  expect_retention_churn_does_not_allocate(4);
 }
 
 }  // namespace

@@ -9,8 +9,8 @@
 //      same churn, sensor faults armed so real stale masks flow) must
 //      report bit-identical window summaries and stale masks throughout.
 //   3. A fold-enabled engine must stay byte-identical (full snapshot
-//      encode) to the scalar-fold sequential baseline for every StepMode
-//      and worker count over a churning run.
+//      encode) to the scalar-fold sequential baseline for every worker
+//      count over a churning run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -33,8 +33,6 @@
 
 namespace valkyrie {
 namespace {
-
-using StepMode = core::ValkyrieEngine::StepMode;
 
 bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
@@ -259,7 +257,7 @@ TEST(PlaneFold, SystemFoldMatchesScalarThroughChurnAndSensorFaults) {
   }
 }
 
-// --- 3. Engine cross-mode byte-identity with the fold on ---------------------
+// --- 3. Engine byte-identity with the fold on --------------------------------
 
 std::unique_ptr<core::Actuator> scripted_actuator(std::size_t salt) {
   if (salt % 2 == 0) return std::make_unique<core::SchedulerWeightActuator>();
@@ -293,11 +291,10 @@ void scripted_spawn(sim::SimSystem& sys, core::ValkyrieEngine& engine) {
 
 template <typename Detector>
 std::vector<std::uint8_t> run_and_encode(const Detector& detector,
-                                         std::size_t threads, StepMode mode,
-                                         bool fold) {
+                                         std::size_t threads, bool fold) {
   sim::SimSystem sys;
   if (fold) sys.enable_plane_major_fold();
-  core::ValkyrieEngine engine(sys, detector, threads, mode);
+  core::ValkyrieEngine engine(sys, detector, threads);
   for (int i = 0; i < 10; ++i) scripted_spawn(sys, engine);
   sys.reserve_history(130);
   for (int epoch = 0; epoch < 120; ++epoch) {
@@ -315,7 +312,7 @@ std::vector<std::uint8_t> run_and_encode(const Detector& detector,
   return snapshot::encode(snapshot::capture(engine));
 }
 
-TEST(PlaneFold, EngineFoldRunsByteIdenticalAcrossSchedulesAndWorkers) {
+TEST(PlaneFold, EngineFoldRunsByteIdenticalAcrossWorkers) {
   const ml::MlpDetector detector = ml::MlpDetector::make_small_ann(
       [] {
         util::Rng rng(0xc0ffee);
@@ -341,15 +338,11 @@ TEST(PlaneFold, EngineFoldRunsByteIdenticalAcrossSchedulesAndWorkers) {
   // Scalar-fold sequential run is the reference; every fold-mode run must
   // reproduce its bytes exactly (the snapshot does not carry the fold flag
   // — logical window state is identical by contract).
-  const std::vector<std::uint8_t> want =
-      run_and_encode(detector, 1, StepMode::kSplit, false);
+  const std::vector<std::uint8_t> want = run_and_encode(detector, 1, false);
   ASSERT_FALSE(want.empty());
-  for (const StepMode mode :
-       {StepMode::kSplit, StepMode::kFused, StepMode::kBatched}) {
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      EXPECT_EQ(want, run_and_encode(detector, threads, mode, true))
-          << "mode " << static_cast<int>(mode) << " threads " << threads;
-    }
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    EXPECT_EQ(want, run_and_encode(detector, threads, true))
+        << "threads " << threads;
   }
 }
 

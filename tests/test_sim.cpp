@@ -362,7 +362,7 @@ TEST(System, PidSlotRemapSurvivesMixedExitsAndSpawns) {
   EXPECT_EQ(sys.epochs_run(pids[0]), 5u);
 }
 
-TEST(System, FusedEpochApiMatchesRunEpoch) {
+TEST(System, EpochPhaseApiMatchesRunEpoch) {
   // run_epoch is begin_epoch + step_slot* + end_epoch; driving the phases
   // by hand must be indistinguishable.
   SimSystem by_hand;

@@ -30,7 +30,6 @@
 namespace valkyrie::core {
 namespace {
 
-using StepMode = ValkyrieEngine::StepMode;
 using util::SerialError;
 
 ml::TraceSet training_corpus() {
@@ -78,14 +77,13 @@ sim::ScenarioScript churn_script() {
 constexpr std::size_t kEpochs = 200;
 
 SupervisedEngine::WorldFactory scenario_factory(const ml::Detector& detector,
-                                                std::size_t threads,
-                                                StepMode mode) {
-  return [&detector, threads,
-          mode](const snapshot::SnapshotImage* image) -> SupervisedWorld {
+                                                std::size_t threads) {
+  return [&detector,
+          threads](const snapshot::SnapshotImage* image) -> SupervisedWorld {
     SupervisedWorld world;
     world.system = std::make_unique<sim::SimSystem>();
     world.engine =
-        std::make_unique<ValkyrieEngine>(*world.system, detector, threads, mode);
+        std::make_unique<ValkyrieEngine>(*world.system, detector, threads);
     if (image == nullptr) {
       world.driver =
           std::make_unique<sim::ScenarioDriver>(*world.engine, churn_script());
@@ -99,8 +97,7 @@ SupervisedEngine::WorldFactory scenario_factory(const ml::Detector& detector,
 }
 
 std::vector<std::uint8_t> golden_run(const ml::Detector& detector) {
-  const SupervisedWorld world =
-      scenario_factory(detector, 2, StepMode::kFused)(nullptr);
+  const SupervisedWorld world = scenario_factory(detector, 2)(nullptr);
   for (std::size_t i = 0; i < kEpochs; ++i) world.driver->step();
   return snapshot::encode(snapshot::capture(*world.driver));
 }
@@ -112,8 +109,7 @@ TEST(Supervisor, InjectedCrashesRecoverToTheGoldenState) {
   SupervisedEngine::Config config;
   config.checkpoint_interval = 16;
   config.crash_epochs = {57, 130};
-  SupervisedEngine supervisor(scenario_factory(detector, 2, StepMode::kFused),
-                              config);
+  SupervisedEngine supervisor(scenario_factory(detector, 2), config);
   supervisor.run(kEpochs);
 
   EXPECT_EQ(snapshot::encode(snapshot::capture(*supervisor.driver())), golden)
@@ -143,23 +139,20 @@ TEST(Supervisor, InjectedCrashesRecoverToTheGoldenState) {
   EXPECT_FALSE(supervisor.recovery_log()[1].fallback);
 }
 
-TEST(Supervisor, RecoveryWorksAcrossStepModesAndWorkerCounts) {
+TEST(Supervisor, RecoveryWorksAcrossWorkerCounts) {
   const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
   const std::vector<std::uint8_t> golden = golden_run(detector);
   // Crash under one engine configuration, recover and finish under it —
   // every configuration must land on the same bytes.
-  constexpr std::pair<StepMode, std::size_t> kGrid[] = {
-      {StepMode::kSplit, 1}, {StepMode::kBatched, 8}};
-  for (const auto& [mode, threads] : kGrid) {
+  for (const std::size_t threads : {1u, 8u}) {
     SupervisedEngine::Config config;
     config.checkpoint_interval = 32;
     config.crash_epochs = {99};
-    SupervisedEngine supervisor(scenario_factory(detector, threads, mode),
-                                config);
+    SupervisedEngine supervisor(scenario_factory(detector, threads), config);
     supervisor.run(kEpochs);
     EXPECT_EQ(snapshot::encode(snapshot::capture(*supervisor.driver())),
               golden)
-        << "mode " << static_cast<int>(mode) << ", " << threads << " workers";
+        << threads << " workers";
   }
 }
 
@@ -231,8 +224,7 @@ TEST(Supervisor, TransientStepExceptionIsRecoveredAndRetried) {
   const FusedThrowDetector detector(inner, fuse);
   SupervisedEngine::Config config;
   config.checkpoint_interval = 1;  // replay-free retries: pure fuse logic
-  SupervisedEngine supervisor(scenario_factory(detector, 2, StepMode::kFused),
-                              config);
+  SupervisedEngine supervisor(scenario_factory(detector, 2), config);
   for (std::size_t i = 0; i < kEpochs; ++i) {
     if (i == 83) *fuse = 1;  // one epoch's worth of outage
     supervisor.step();
@@ -251,8 +243,7 @@ TEST(Supervisor, DeterministicFaultExhaustsTheRecoveryCap) {
   SupervisedEngine::Config config;
   config.checkpoint_interval = 1;
   config.max_recoveries_per_step = 3;
-  SupervisedEngine supervisor(scenario_factory(detector, 1, StepMode::kFused),
-                              config);
+  SupervisedEngine supervisor(scenario_factory(detector, 1), config);
   supervisor.run(40);
   *fuse = 1 << 20;  // effectively "fails every attempt"
   EXPECT_THROW(supervisor.step(), std::runtime_error);
@@ -277,8 +268,7 @@ TEST(Supervisor, CorruptedLatestCheckpointFallsBackToThePreviousGeneration) {
   config.crash_epochs = {100};
   // Damage exactly the checkpoint the crash wants to restore from.
   config.corrupt_checkpoint_epochs = {96};
-  SupervisedEngine supervisor(scenario_factory(detector, 2, StepMode::kFused),
-                              config);
+  SupervisedEngine supervisor(scenario_factory(detector, 2), config);
   supervisor.run(kEpochs);
 
   EXPECT_EQ(snapshot::encode(snapshot::capture(*supervisor.driver())), golden)
@@ -308,8 +298,7 @@ TEST(Supervisor, DurabilityFailuresArePricedNotFatal) {
   config.durability_sink = [fail](std::vector<std::uint8_t>) {
     if (*fail) throw std::runtime_error("disk full");
   };
-  SupervisedEngine supervisor(scenario_factory(detector, 2, StepMode::kFused),
-                              config);
+  SupervisedEngine supervisor(scenario_factory(detector, 2), config);
   for (std::size_t i = 0; i < kEpochs; ++i) {
     if (i == 90) *fail = true;    // the step-96 checkpoint fails to persist
     if (i == 108) *fail = false;  // the disk comes back before step 112's
@@ -341,8 +330,7 @@ TEST(Supervisor, AdaptiveCadenceIsDeterministicAndConvergesToTheGoldenState) {
   config.min_checkpoint_interval = 8;
   config.max_checkpoint_interval = 64;
   config.crash_epochs = {100, 105};
-  SupervisedEngine supervisor(scenario_factory(detector, 2, StepMode::kFused),
-                              config);
+  SupervisedEngine supervisor(scenario_factory(detector, 2), config);
   supervisor.run(kEpochs);
 
   // Checkpoints never mutate the world, so the adapted schedule lands on
@@ -369,8 +357,7 @@ TEST(Supervisor, AdaptiveBoundsAreValidated) {
   config.checkpoint_interval = 2;  // below the floor
   config.min_checkpoint_interval = 4;
   config.max_checkpoint_interval = 64;
-  EXPECT_THROW(SupervisedEngine(scenario_factory(detector, 1, StepMode::kFused),
-                                config),
+  EXPECT_THROW(SupervisedEngine(scenario_factory(detector, 1), config),
                std::invalid_argument);
 }
 
@@ -392,8 +379,7 @@ class TempDir {
 
 TEST(Supervisor, FileSinkWritesDurablyAndAtomically) {
   const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
-  const SupervisedWorld world =
-      scenario_factory(detector, 1, StepMode::kFused)(nullptr);
+  const SupervisedWorld world = scenario_factory(detector, 1)(nullptr);
   for (int i = 0; i < 30; ++i) world.driver->step();
 
   TempDir dir;
@@ -421,8 +407,7 @@ TEST(Supervisor, FileSinkWritesDurablyAndAtomically) {
 
 TEST(Supervisor, FileSinkFailuresSurfaceAsTypedIoErrors) {
   const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
-  const SupervisedWorld world =
-      scenario_factory(detector, 1, StepMode::kFused)(nullptr);
+  const SupervisedWorld world = scenario_factory(detector, 1)(nullptr);
   for (int i = 0; i < 10; ++i) world.driver->step();
 
   // Unwritable target directory: open() fails on the worker thread; the

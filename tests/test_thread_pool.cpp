@@ -37,9 +37,10 @@ TEST(ThreadPool, TouchesEveryIndexExactlyOnce) {
     ThreadPool pool(threads);
     EXPECT_EQ(pool.shard_count(), threads < 2 ? 1u : threads);
     std::vector<int> hits(10000, 0);
-    pool.parallel_for(hits.size(), [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) ++hits[i];
-    });
+    pool.parallel_for_shards(
+        hits.size(), [&](std::size_t, std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) ++hits[i];
+        });
     for (std::size_t i = 0; i < hits.size(); ++i) {
       ASSERT_EQ(hits[i], 1) << "threads=" << threads << " index " << i;
     }
@@ -52,13 +53,15 @@ TEST(ThreadPool, SurvivesManyConsecutiveJobs) {
   constexpr int kJobs = 300;
   std::atomic<std::uint64_t> total{0};
   for (int job = 0; job < kJobs; ++job) {
-    pool.parallel_for(kN, [&](std::size_t begin, std::size_t end) {
-      std::uint64_t local = 0;
-      for (std::size_t i = begin; i < end; ++i) local += i;
-      total.fetch_add(local, std::memory_order_relaxed);
-    });
+    pool.parallel_for_shards(
+        kN, [&](std::size_t, std::size_t begin, std::size_t end) {
+          std::uint64_t local = 0;
+          for (std::size_t i = begin; i < end; ++i) local += i;
+          total.fetch_add(local, std::memory_order_relaxed);
+        });
   }
-  EXPECT_EQ(total.load(), static_cast<std::uint64_t>(kJobs) * (kN * (kN - 1) / 2));
+  EXPECT_EQ(total.load(),
+            static_cast<std::uint64_t>(kJobs) * (kN * (kN - 1) / 2));
 }
 
 TEST(ThreadPool, ShardIndicesMatchChunkAssignment) {
@@ -85,23 +88,27 @@ TEST(ThreadPool, ShardIndicesMatchChunkAssignment) {
 TEST(ThreadPool, HandlesDegenerateSizes) {
   ThreadPool pool(8);
   int calls = 0;
-  pool.parallel_for(0, [&](std::size_t, std::size_t) { ++calls; });
+  pool.parallel_for_shards(0, [&](std::size_t, std::size_t, std::size_t) {
+    ++calls;
+  });
   EXPECT_EQ(calls, 0);
 
   // n == 1 runs inline on the caller.
   std::thread::id executed_on;
-  pool.parallel_for(1, [&](std::size_t begin, std::size_t end) {
-    EXPECT_EQ(begin, 0u);
-    EXPECT_EQ(end, 1u);
-    executed_on = std::this_thread::get_id();
-  });
+  pool.parallel_for_shards(
+      1, [&](std::size_t, std::size_t begin, std::size_t end) {
+        EXPECT_EQ(begin, 0u);
+        EXPECT_EQ(end, 1u);
+        executed_on = std::this_thread::get_id();
+      });
   EXPECT_EQ(executed_on, std::this_thread::get_id());
 
   // n smaller than the shard count: every index still covered once.
   std::vector<int> hits(3, 0);
-  pool.parallel_for(hits.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) ++hits[i];
-  });
+  pool.parallel_for_shards(
+      hits.size(), [&](std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) ++hits[i];
+      });
   for (const int h : hits) EXPECT_EQ(h, 1);
 }
 
@@ -109,11 +116,12 @@ TEST(ThreadPool, SingleThreadPoolRunsInline) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.shard_count(), 1u);
   std::thread::id executed_on;
-  pool.parallel_for(100, [&](std::size_t begin, std::size_t end) {
-    EXPECT_EQ(begin, 0u);
-    EXPECT_EQ(end, 100u);
-    executed_on = std::this_thread::get_id();
-  });
+  pool.parallel_for_shards(
+      100, [&](std::size_t, std::size_t begin, std::size_t end) {
+        EXPECT_EQ(begin, 0u);
+        EXPECT_EQ(end, 100u);
+        executed_on = std::this_thread::get_id();
+      });
   EXPECT_EQ(executed_on, std::this_thread::get_id());
 }
 
@@ -123,23 +131,22 @@ TEST(ThreadPool, CountsInlineRunsAndDispatchesSeparately) {
   // under-reported single-shard schedules as zero (the
   // dispatches_per_epoch: 0.0 rows the scaling bench used to emit for
   // threads: 1).
-  const auto noop = [](std::size_t, std::size_t) {};
+  const auto noop = [](std::size_t, std::size_t, std::size_t) {};
 
   ThreadPool single(1);
-  single.parallel_for(100, noop);
-  single.parallel_for(1, noop);
-  single.parallel_for(0, noop);  // empty jobs never run, never count
+  single.parallel_for_shards(100, noop);
+  single.parallel_for_shards(1, noop);
+  single.parallel_for_shards(0, noop);  // empty jobs never run, never count
   EXPECT_EQ(single.dispatch_count(), 0u);
   EXPECT_EQ(single.inline_run_count(), 2u);
 
   ThreadPool pool(4);
-  pool.parallel_for(100, noop);  // sharded: a dispatch
-  pool.parallel_for(1, noop);    // degenerate: inline on the caller
-  pool.parallel_for(0, noop);
+  pool.parallel_for_shards(100, noop);  // sharded: a dispatch
+  pool.parallel_for_shards(1, noop);    // degenerate: inline on the caller
+  pool.parallel_for_shards(0, noop);
   EXPECT_EQ(pool.dispatch_count(), 1u);
   EXPECT_EQ(pool.inline_run_count(), 1u);
-  pool.parallel_for_shards(
-      50, [](std::size_t, std::size_t, std::size_t) {});
+  pool.parallel_for_shards(50, noop);
   EXPECT_EQ(pool.dispatch_count(), 2u);
   EXPECT_EQ(pool.inline_run_count(), 1u);
 }
@@ -151,21 +158,21 @@ TEST(ThreadPool, ShardExceptionPropagatesToDispatcher) {
   constexpr std::size_t kN = 1000;
   for (const std::size_t bad_index : {std::size_t{0}, kN - 1}) {
     EXPECT_THROW(
-        pool.parallel_for(kN,
-                          [&](std::size_t begin, std::size_t end) {
-                            for (std::size_t i = begin; i < end; ++i) {
-                              if (i == bad_index) {
-                                throw std::runtime_error("shard failed");
-                              }
-                            }
-                          }),
+        pool.parallel_for_shards(
+            kN,
+            [&](std::size_t, std::size_t begin, std::size_t end) {
+              for (std::size_t i = begin; i < end; ++i) {
+                if (i == bad_index) throw std::runtime_error("shard failed");
+              }
+            }),
         std::runtime_error);
   }
   // The pool must remain usable after a failed job.
   std::atomic<std::size_t> touched{0};
-  pool.parallel_for(kN, [&](std::size_t begin, std::size_t end) {
-    touched.fetch_add(end - begin, std::memory_order_relaxed);
-  });
+  pool.parallel_for_shards(
+      kN, [&](std::size_t, std::size_t begin, std::size_t end) {
+        touched.fetch_add(end - begin, std::memory_order_relaxed);
+      });
   EXPECT_EQ(touched.load(), kN);
 }
 
@@ -174,11 +181,12 @@ TEST(ThreadPool, WorkersActuallyRunConcurrently) {
   // participate (the caller plus at least one worker).
   ThreadPool pool(4);
   std::vector<std::thread::id> ids(4);
-  pool.parallel_for(4, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      ids[i] = std::this_thread::get_id();
-    }
-  });
+  pool.parallel_for_shards(
+      4, [&](std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          ids[i] = std::this_thread::get_id();
+        }
+      });
   bool saw_other_thread = false;
   for (const std::thread::id& id : ids) {
     if (id != std::this_thread::get_id()) saw_other_thread = true;
