@@ -3,8 +3,10 @@
 // crypto, detector inference, threat-index updates, full engine epochs).
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "attacks/pp_aes.hpp"
 #include "cache/cache.hpp"
@@ -21,7 +23,9 @@
 #include "ml/svm.hpp"
 #include "ml/window_accumulator.hpp"
 #include "sim/system.hpp"
+#include "snapshot/snapshot.hpp"
 #include "util/rng.hpp"
+#include "util/serial.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace {
@@ -308,6 +312,70 @@ void BM_PrimeProbeMeasurementEpoch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PrimeProbeMeasurementEpoch);
+
+// --- Snapshot byte layer -----------------------------------------------------
+//
+// The checkpoint path's three byte-level costs: the section CRC, encode
+// (image -> bytes, the Snapshotter worker's job) and parse (bytes -> image,
+// the recovery path). The image is fixed: 256 benchmark processes after 64
+// epochs, so every history row carries 64 samples.
+
+void BM_Crc32(benchmark::State& state) {
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(state.range(0)));
+  util::Rng rng(0xc3c);
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(util::crc32(bytes));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(1 << 20)->Arg(16 << 20);
+
+const snapshot::SnapshotImage& fixed_snapshot_image() {
+  static const snapshot::SnapshotImage image = [] {
+    sim::SimSystem sys;
+    core::ValkyrieEngine engine(sys, cached_engine_detector());
+    const std::vector<workloads::BenchmarkSpec> palette =
+        workloads::all_single_threaded();
+    for (std::size_t p = 0; p < 256; ++p) {
+      workloads::BenchmarkSpec spec = palette[p % palette.size()];
+      spec.epochs_of_work = 1e9;  // endless: every row keeps its history
+      const sim::ProcessId pid = sys.spawn(
+          std::make_unique<workloads::BenchmarkWorkload>(std::move(spec)));
+      engine.attach(pid, core::ValkyrieConfig{},
+                    std::make_unique<core::SchedulerWeightActuator>());
+    }
+    for (int e = 0; e < 64; ++e) engine.step();
+    return snapshot::capture(engine);
+  }();
+  return image;
+}
+
+void BM_SnapshotEncode(benchmark::State& state) {
+  const snapshot::SnapshotImage& image = fixed_snapshot_image();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::vector<std::uint8_t> out = snapshot::encode(image);
+    bytes = out.size();
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                    bytes));
+}
+BENCHMARK(BM_SnapshotEncode);
+
+void BM_SnapshotParse(benchmark::State& state) {
+  const std::vector<std::uint8_t> bytes =
+      snapshot::encode(fixed_snapshot_image());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(snapshot::parse(bytes));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                    bytes.size()));
+}
+BENCHMARK(BM_SnapshotParse);
 
 }  // namespace
 

@@ -158,6 +158,9 @@ void SupervisedEngine::run(std::size_t epochs) {
 SupervisedEngine::Health SupervisedEngine::health() const {
   Health h = health_;
   h.checkpoints = confirmed_.load(std::memory_order_relaxed);
+  const snapshot::Snapshotter::Backpressure bp = snapshotter_.backpressure();
+  h.checkpoint_blocked_requests = bp.blocked_requests;
+  h.checkpoint_wait_ns = bp.wait_ns;
   return h;
 }
 

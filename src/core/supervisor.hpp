@@ -114,6 +114,12 @@ class SupervisedEngine {
     std::uint64_t injected_crashes = 0;  // ... of which from crash_epochs
     std::uint64_t epochs_replayed = 0;   // steps re-run during recoveries
     std::uint64_t worst_replay = 0;      // max single-recovery replay cost
+    /// Checkpoint requests that blocked the engine thread because the
+    /// encoder still had two images in flight, and the total time they
+    /// waited (Snapshotter::backpressure()). Nonzero means encode time
+    /// exceeds checkpoint_interval x epoch time.
+    std::uint64_t checkpoint_blocked_requests = 0;
+    std::uint64_t checkpoint_wait_ns = 0;
   };
 
   /// One priced recovery: where the world died, how many epochs the

@@ -48,6 +48,30 @@ constexpr std::uint32_t kDrvSection = fourcc('D', 'R', 'V', ' ');
 
 // --- Field-group helpers -----------------------------------------------------
 
+// Groups made of nothing but doubles are written and read as one block, so
+// their in-memory layout must be exactly the wire layout.
+static_assert(sizeof(hpc::HpcSample) == hpc::kNumEvents * sizeof(double));
+static_assert(sizeof(sim::ResourceShares) == 4 * sizeof(double));
+
+// Fixed wire sizes (bytes) of the v5 record groups; encoded_size() sums
+// them so encode() allocates its output once.
+constexpr std::size_t kRngBytes = 4 * 8;
+constexpr std::size_t kSharesBytes = sizeof(sim::ResourceShares);
+constexpr std::size_t kSampleBytes = sizeof(hpc::HpcSample);
+constexpr std::size_t kFeatureBytes = hpc::kFeatureDim * 8;
+constexpr std::size_t kAccumBytes = 8 + 3 * kFeatureBytes +  // count, moments
+                                    hpc::kFeatureDim * 8 + 4;  // v3 fcount/mask
+constexpr std::size_t kSlotBytes = 4 + kRngBytes + 2 * kSharesBytes +
+                                   kSampleBytes + kAccumBytes + 8 + 8 + 1 + 8 +
+                                   hpc::kFeatureDim * 4;
+constexpr std::size_t kProcFixedBytes = 4 + 4 + 8 /* history count */ +
+                                        2 * kSharesBytes + kSampleBytes +
+                                        kAccumBytes + 8 + 8 + 1;
+constexpr std::size_t kAttachmentFixedBytes = 4 + 8 + 1 + 1 + 3 * 8 + 1 + 8 +
+                                              1 + 1 + 5 * 8 + 1 + 8;
+constexpr std::size_t kRetryBytes = 4 + 1 + 8 + 4 + 8;
+constexpr std::size_t kSectionFramingBytes = 4 + 8 + 4;  // tag, length, CRC
+
 void put_rng(ByteWriter& out, const std::array<std::uint64_t, 4>& state) {
   for (const std::uint64_t word : state) out.u64(word);
 }
@@ -59,38 +83,32 @@ std::array<std::uint64_t, 4> get_rng(ByteReader& in) {
 }
 
 void put_shares(ByteWriter& out, const sim::ResourceShares& s) {
-  out.f64(s.cpu);
-  out.f64(s.mem);
-  out.f64(s.net);
-  out.f64(s.fs);
+  out.f64_records(std::span<const sim::ResourceShares>(&s, 1));
 }
 
 sim::ResourceShares get_shares(ByteReader& in) {
   sim::ResourceShares s;
-  s.cpu = in.f64();
-  s.mem = in.f64();
-  s.net = in.f64();
-  s.fs = in.f64();
+  in.f64_records(std::span<sim::ResourceShares>(&s, 1));
   return s;
 }
 
 void put_sample(ByteWriter& out, const hpc::HpcSample& sample) {
-  for (const double v : sample.counts) out.f64(v);
+  out.f64_records(std::span<const hpc::HpcSample>(&sample, 1));
 }
 
 hpc::HpcSample get_sample(ByteReader& in) {
   hpc::HpcSample sample;
-  for (double& v : sample.counts) v = in.f64();
+  in.f64_records(std::span<hpc::HpcSample>(&sample, 1));
   return sample;
 }
 
 void put_features(ByteWriter& out, const hpc::FeatureVec& vec) {
-  for (const double v : vec) out.f64(v);
+  out.f64_records(std::span<const double>(vec));
 }
 
 hpc::FeatureVec get_features(ByteReader& in) {
   hpc::FeatureVec vec{};
-  for (double& v : vec) v = in.f64();
+  in.f64_records(std::span<double>(vec));
   return vec;
 }
 
@@ -118,6 +136,10 @@ void put_poly(ByteWriter& out, const PolyImage& poly) {
   out.str(poly.type);
   out.u64(poly.payload.size());
   out.bytes(poly.payload);
+}
+
+std::size_t poly_bytes(const PolyImage& poly) {
+  return 8 + poly.type.size() + 8 + poly.payload.size();
 }
 
 PolyImage get_poly(ByteReader& in) {
@@ -176,7 +198,7 @@ void encode_system(ByteWriter& out, const SystemImage& sys) {
     out.u32(proc.slot);
     put_poly(out, proc.workload);
     out.u64(proc.history.size());
-    for (const hpc::HpcSample& sample : proc.history) put_sample(out, sample);
+    out.f64_records(std::span<const hpc::HpcSample>(proc.history));
     put_shares(out, proc.retired_cgroup);
     put_shares(out, proc.retired_effective);
     put_sample(out, proc.retired_last_sample);
@@ -246,12 +268,8 @@ SystemImage decode_system(ByteReader& in) {
     proc.pid = in.u32();
     proc.slot = in.u32();
     proc.workload = get_poly(in);
-    const std::size_t history =
-        in.length(hpc::kNumEvents * sizeof(double));
-    proc.history.reserve(history);
-    for (std::size_t h = 0; h < history; ++h) {
-      proc.history.push_back(get_sample(in));
-    }
+    proc.history.resize(in.length(kSampleBytes));
+    in.f64_records(std::span<hpc::HpcSample>(proc.history));
     proc.retired_cgroup = get_shares(in);
     proc.retired_effective = get_shares(in);
     proc.retired_last_sample = get_sample(in);
@@ -410,6 +428,37 @@ DriverImage decode_driver(ByteReader& in) {
   return driver;
 }
 
+// --- Output sizing -----------------------------------------------------------
+
+std::size_t system_bytes(const SystemImage& sys) {
+  std::size_t n = 8 * 8 + kRngBytes + 8 + 3 + 8 + 8 + 1 + 8 +  // scalars
+                  8 + sys.retire_queue.size() * (4 + 8) +       // queue
+                  8 + sys.slots.size() * kSlotBytes +           // slots
+                  8 +                                           // procs count
+                  8 + sys.sched_entries.size() * (4 + 8);       // factors
+  for (const ProcImage& proc : sys.procs) {
+    n += kProcFixedBytes + poly_bytes(proc.workload) +
+         proc.history.size() * kSampleBytes;
+  }
+  return n;
+}
+
+std::size_t engine_bytes(const EngineImage& engine) {
+  std::size_t n = 8 + 8 + 8 + 8 + engine.retries.size() * kRetryBytes;
+  for (const AttachmentImage& att : engine.attachments) {
+    n += kAttachmentFixedBytes + poly_bytes(att.monitor.actuator);
+  }
+  return n;
+}
+
+std::size_t driver_bytes(const DriverImage& driver) {
+  return 8 + kRngBytes + 8 * 8 + 8 +                  // fingerprint .. sums
+         8 + driver.departures.size() * (8 + 4) +     // departure heap
+         8 + driver.campaign_progress.size() * 8 +    // campaigns
+         8 +                                          // palette cursor
+         8 + driver.prev_live.size() * 4 + 8;         // census
+}
+
 // Appends one fourcc/length/payload/CRC section, fixing up the length once
 // the payload size is known.
 void append_section(std::vector<std::uint8_t>& bytes, std::uint32_t tag,
@@ -548,8 +597,18 @@ SnapshotImage capture(const sim::ScenarioDriver& driver) {
   return image;
 }
 
+std::size_t encoded_size(const SnapshotImage& image) {
+  std::size_t n = kMagic.size() + 4 + 2 * kSectionFramingBytes +
+                  system_bytes(image.system) + engine_bytes(image.engine);
+  if (image.has_driver) {
+    n += kSectionFramingBytes + driver_bytes(image.driver);
+  }
+  return n;
+}
+
 std::vector<std::uint8_t> encode(const SnapshotImage& image) {
   std::vector<std::uint8_t> bytes;
+  bytes.reserve(encoded_size(image));
   {
     ByteWriter out(bytes);
     out.bytes(kMagic);

@@ -26,6 +26,7 @@
 // structured snapshot_state()/restore_from() members over the image types.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -75,8 +76,13 @@ struct RestoreContext {
 [[nodiscard]] SnapshotImage capture(const sim::ScenarioDriver& driver);
 
 /// Serializes an image: magic "VLKYSNP1", format version, then one
-/// length-prefixed + CRC32-checksummed section per subsystem.
+/// length-prefixed + CRC32-checksummed section per subsystem. The output
+/// is allocated once, at encoded_size(image), and never grows mid-encode.
 [[nodiscard]] std::vector<std::uint8_t> encode(const SnapshotImage& image);
+
+/// Exact byte length encode(image) produces, computed from the image's
+/// record counts and the format's fixed record sizes.
+[[nodiscard]] std::size_t encoded_size(const SnapshotImage& image);
 
 /// Decodes and validates a snapshot byte stream. Registry-free: workloads
 /// and actuators stay {type, payload}. Throws typed SnapshotError on any

@@ -1,6 +1,7 @@
 #include "snapshot/snapshotter.hpp"
 
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -50,9 +51,18 @@ void Snapshotter::request(const sim::ScenarioDriver& driver,
 
 void Snapshotter::enqueue(SnapshotImage image, std::uint64_t tag) {
   std::unique_lock<std::mutex> lock(mutex_);
-  space_cv_.wait(lock, [this] {
+  const auto has_space = [this] {
     return queue_.size() + (encoding_ ? 1 : 0) < kMaxInFlight;
-  });
+  };
+  if (!has_space()) {
+    const auto start = std::chrono::steady_clock::now();
+    space_cv_.wait(lock, has_space);
+    ++backpressure_.blocked_requests;
+    backpressure_.wait_ns += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+  }
   if (error_ != nullptr) {
     // A previous snapshot failed to encode or persist: surface it to the
     // producer rather than silently dropping snapshots on the floor.
@@ -75,6 +85,11 @@ void Snapshotter::flush() {
 std::uint64_t Snapshotter::completed() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return completed_;
+}
+
+Snapshotter::Backpressure Snapshotter::backpressure() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return backpressure_;
 }
 
 std::exception_ptr Snapshotter::take_error() {

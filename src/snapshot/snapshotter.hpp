@@ -9,7 +9,8 @@
 // epoch consistency means) and hands it to the worker, which encodes and
 // delivers the bytes to the sink. A bounded two-image queue keeps memory
 // flat; request() blocks only when BOTH buffers are still in flight, i.e.
-// snapshots are being requested faster than they encode.
+// snapshots are being requested faster than they encode. Such blocking
+// stalls the engine thread, so it is counted (backpressure()).
 #pragma once
 
 #include <condition_variable>
@@ -68,6 +69,16 @@ class Snapshotter {
   /// Snapshots delivered to the sink so far.
   [[nodiscard]] std::uint64_t completed() const;
 
+  /// Producer-side backpressure: requests that found kMaxInFlight images
+  /// already in flight and blocked until one finished, and the total time
+  /// they spent blocked. Nonzero means encode + sink is slower than the
+  /// request cadence and the engine thread is paying for it.
+  struct Backpressure {
+    std::uint64_t blocked_requests = 0;
+    std::uint64_t wait_ns = 0;
+  };
+  [[nodiscard]] Backpressure backpressure() const;
+
   /// Non-blocking poll: returns (and clears) any parked encode/sink
   /// failure without waiting for the queue to drain. Lets a supervisor
   /// surface checkpoint failures at its next step instead of only at the
@@ -90,6 +101,7 @@ class Snapshotter {
   std::deque<Pending> queue_;         // bounded at kMaxInFlight
   std::exception_ptr error_;          // sink/encode failure awaiting rethrow
   std::uint64_t completed_ = 0;
+  Backpressure backpressure_;
   bool encoding_ = false;  // worker is between pop and sink delivery
   bool stop_ = false;
   std::thread worker_;

@@ -23,6 +23,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace valkyrie::util {
@@ -55,49 +56,124 @@ class SerialError : public std::runtime_error {
   Code code_;
 };
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a byte span.
+namespace detail {
+
+/// Native <-> little-endian for one word: the identity on little-endian
+/// hosts, a byteswap otherwise. The conversion is its own inverse, so the
+/// same helper serves stores and loads.
+template <typename U>
+[[nodiscard]] constexpr U to_le(U v) noexcept {
+  static_assert(std::is_same_v<U, std::uint32_t> ||
+                std::is_same_v<U, std::uint64_t>);
+  if constexpr (std::endian::native == std::endian::little) {
+    return v;
+  } else if constexpr (sizeof(U) == 4) {
+    return __builtin_bswap32(v);
+  } else {
+    return __builtin_bswap64(v);
+  }
+}
+
+template <typename U>
+void store_le(std::uint8_t* dst, U v) noexcept {
+  v = to_le(v);
+  std::memcpy(dst, &v, sizeof(U));
+}
+
+template <typename U>
+[[nodiscard]] U load_le(const std::uint8_t* src) noexcept {
+  U v;
+  std::memcpy(&v, src, sizeof(U));
+  return to_le(v);
+}
+
+/// Copies `words` 8-byte words between native and little-endian order (in
+/// either direction): one block copy on little-endian hosts, a per-word
+/// byteswap otherwise.
+inline void copy_words_le(void* dst, const void* src,
+                          std::size_t words) noexcept {
+  if (words == 0) return;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(dst, src, words * 8);
+  } else {
+    auto* out = static_cast<std::uint8_t*>(dst);
+    const auto* in = static_cast<const std::uint8_t*>(src);
+    for (std::size_t i = 0; i < words; ++i) {
+      std::uint64_t w;
+      std::memcpy(&w, in + 8 * i, 8);
+      store_le(out + 8 * i, w);
+    }
+  }
+}
+
+/// Slicing-by-16 tables for the reflected CRC-32 polynomial 0xEDB88320:
+/// kCrcTables[0] is the classic bytewise table, and kCrcTables[s][b] is the
+/// CRC of byte b followed by s zero bytes, so sixteen table lookups advance
+/// the register over 16 input bytes.
+inline constexpr auto kCrcTables = [] {
+  std::array<std::array<std::uint32_t, 256>, 16> t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) != 0 ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+    t[0][i] = c;
+  }
+  for (std::size_t s = 1; s < t.size(); ++s) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[s][i] = (t[s - 1][i] >> 8) ^ t[0][t[s - 1][i] & 0xffu];
+    }
+  }
+  return t;
+}();
+
+}  // namespace detail
+
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a byte span,
+/// sixteen bytes per step (slicing-by-16).
 [[nodiscard]] inline std::uint32_t crc32(
     std::span<const std::uint8_t> bytes) noexcept {
-  static constexpr auto kTable = [] {
-    std::array<std::uint32_t, 256> table{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) != 0 ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      }
-      table[i] = c;
-    }
-    return table;
-  }();
+  const auto& t = detail::kCrcTables;
   std::uint32_t crc = 0xffffffffu;
-  for (const std::uint8_t b : bytes) {
-    crc = kTable[(crc ^ b) & 0xffu] ^ (crc >> 8);
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 16; p += 16, n -= 16) {
+    const std::uint64_t lo = detail::load_le<std::uint64_t>(p) ^ crc;
+    const std::uint64_t hi = detail::load_le<std::uint64_t>(p + 8);
+    crc = t[15][lo & 0xffu] ^ t[14][(lo >> 8) & 0xffu] ^
+          t[13][(lo >> 16) & 0xffu] ^ t[12][(lo >> 24) & 0xffu] ^
+          t[11][(lo >> 32) & 0xffu] ^ t[10][(lo >> 40) & 0xffu] ^
+          t[9][(lo >> 48) & 0xffu] ^ t[8][lo >> 56] ^
+          t[7][hi & 0xffu] ^ t[6][(hi >> 8) & 0xffu] ^
+          t[5][(hi >> 16) & 0xffu] ^ t[4][(hi >> 24) & 0xffu] ^
+          t[3][(hi >> 32) & 0xffu] ^ t[2][(hi >> 40) & 0xffu] ^
+          t[1][(hi >> 48) & 0xffu] ^ t[0][hi >> 56];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = t[0][(crc ^ *p) & 0xffu] ^ (crc >> 8);
   }
   return crc ^ 0xffffffffu;
 }
 
-/// Appends little-endian primitives to a growing byte buffer.
+/// Appends little-endian primitives to a growing byte buffer. Every field
+/// is one resize plus one word store; blocks of doubles (sample histories,
+/// feature vectors, f64 spans) are one block copy each.
 class ByteWriter {
  public:
-  ByteWriter() = default;
   explicit ByteWriter(std::vector<std::uint8_t>& sink) : out_(&sink) {}
 
   [[nodiscard]] std::vector<std::uint8_t>& buffer() noexcept { return *out_; }
   [[nodiscard]] std::size_t size() const noexcept { return out_->size(); }
 
+  /// Reserves room for `extra` more bytes, so a caller that knows its
+  /// output size up front never reallocates mid-write.
+  void reserve(std::size_t extra) { out_->reserve(out_->size() + extra); }
+
   void u8(std::uint8_t v) { out_->push_back(v); }
 
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out_->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
+  void u32(std::uint32_t v) { detail::store_le(grow(4), v); }
 
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out_->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
+  void u64(std::uint64_t v) { detail::store_le(grow(8), v); }
 
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
@@ -108,36 +184,54 @@ class ByteWriter {
   void boolean(bool v) { u8(v ? 1 : 0); }
 
   void bytes(std::span<const std::uint8_t> data) {
-    out_->insert(out_->end(), data.begin(), data.end());
+    if (!data.empty()) std::memcpy(grow(data.size()), data.data(), data.size());
   }
 
   /// Length-prefixed string (u64 length + raw bytes).
   void str(std::string_view s) {
     u64(s.size());
-    out_->insert(out_->end(), s.begin(), s.end());
+    bytes({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
+  }
+
+  /// Records made of nothing but doubles (a double, an HpcSample, a
+  /// FeatureVec, ResourceShares), written back to back without a length
+  /// prefix: each double is one little-endian u64 bit pattern, exactly as
+  /// f64() would write it.
+  template <typename Record>
+  void f64_records(std::span<const Record> records) {
+    static_assert(std::is_trivially_copyable_v<Record> &&
+                  sizeof(Record) % sizeof(double) == 0);
+    words(records.data(), records.size_bytes() / 8);
   }
 
   void f64_span(std::span<const double> values) {
     u64(values.size());
-    for (const double v : values) f64(v);
+    f64_records(values);
   }
 
   void u64_span(std::span<const std::uint64_t> values) {
     u64(values.size());
-    for (const std::uint64_t v : values) u64(v);
+    words(values.data(), values.size());
   }
 
   /// Patches a previously written u64 at `offset` (section length fixup
   /// after the payload is known).
   void patch_u64(std::size_t offset, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      (*out_)[offset + static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(v >> (8 * i));
-    }
+    detail::store_le(out_->data() + offset, v);
   }
 
  private:
-  std::vector<std::uint8_t>* out_ = nullptr;
+  std::uint8_t* grow(std::size_t n) {
+    const std::size_t at = out_->size();
+    out_->resize(at + n);
+    return out_->data() + at;
+  }
+
+  void words(const void* src, std::size_t count) {
+    detail::copy_words_le(grow(count * 8), src, count);
+  }
+
+  std::vector<std::uint8_t>* out_;
 };
 
 /// Bounds-checked little-endian reader over a fixed byte span. Every read
@@ -157,27 +251,9 @@ class ByteReader {
     return data_[pos_++];
   }
 
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(data_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
+  std::uint32_t u32() { return detail::load_le<std::uint32_t>(take(4)); }
 
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(data_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
+  std::uint64_t u64() { return detail::load_le<std::uint64_t>(take(8)); }
 
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
 
@@ -210,19 +286,25 @@ class ByteReader {
     return {reinterpret_cast<const char*>(raw.data()), raw.size()};
   }
 
+  /// Fills `records` (see ByteWriter::f64_records) with one bounds check
+  /// and one block copy.
+  template <typename Record>
+  void f64_records(std::span<Record> records) {
+    static_assert(std::is_trivially_copyable_v<Record> &&
+                  sizeof(Record) % sizeof(double) == 0);
+    const std::size_t n = records.size_bytes();
+    detail::copy_words_le(records.data(), take(n), n / 8);
+  }
+
   std::vector<double> f64_vec() {
-    const std::size_t n = length(8);
-    std::vector<double> out;
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) out.push_back(f64());
+    std::vector<double> out(length(8));
+    f64_records(std::span<double>(out));
     return out;
   }
 
   std::vector<std::uint64_t> u64_vec() {
-    const std::size_t n = length(8);
-    std::vector<std::uint64_t> out;
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) out.push_back(u64());
+    std::vector<std::uint64_t> out(length(8));
+    detail::copy_words_le(out.data(), take(out.size() * 8), out.size());
     return out;
   }
 
@@ -232,6 +314,14 @@ class ByteReader {
       throw SerialError(SerialError::Code::kTruncated,
                         "serial: read past end of snapshot buffer");
     }
+  }
+
+  /// Bounds-checks and consumes `n` bytes, returning where they start.
+  const std::uint8_t* take(std::size_t n) {
+    need(n);
+    const std::uint8_t* at = data_.data() + pos_;
+    pos_ += n;
+    return at;
   }
 
   std::span<const std::uint8_t> data_;

@@ -14,12 +14,15 @@
 #include <vector>
 
 #include "attacks/cryptominer.hpp"
+#include "attacks/signatures.hpp"
 #include "core/actuator.hpp"
 #include "core/valkyrie.hpp"
 #include "ml/svm.hpp"
+#include "sim/scenario.hpp"
 #include "sim/system.hpp"
 #include "snapshot/snapshot.hpp"
 #include "util/rng.hpp"
+#include "util/serial.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace valkyrie::core {
@@ -275,6 +278,89 @@ TEST(SnapshotRoundtrip, CleanBoundarySnapshotRoundTripsExactly) {
   EXPECT_EQ(bytes, snapshot::encode(snapshot::capture(engine2)));
   EXPECT_EQ(sys.current_epoch(), sys2.current_epoch());
   EXPECT_EQ(sys.total_spawned(), sys2.total_spawned());
+}
+
+// --- Golden bytes --------------------------------------------------------------
+
+// A fixed-seed scenario world: 64 live BenchmarkWorkload / attack
+// processes under a ScenarioDriver for 40 epochs, with churn (finite
+// lifetimes, Poisson arrivals at the live cap), driver kills, and the SVM
+// response throttling attacks through both scheduler-weight and cgroup
+// actuators.
+sim::ScenarioScript golden_script() {
+  sim::ScenarioScript script;
+  script.seed = 0x601d;
+  script.initial_processes = 64;
+  script.max_live = 64;
+  script.arrival_rate = 3.0;
+  script.attack_fraction = 0.15;
+  script.attack_families = {sim::AttackFamily::kCryptominer,
+                            sim::AttackFamily::kRansomware};
+  script.mean_lifetime = 20.0;
+  script.kill_exit_fraction = 0.5;
+  script.monitor_config.required_measurements = 12;
+  script.recycle_histories = false;
+  return script;
+}
+
+/// Trained on the shipped signatures the world actually runs — the
+/// benchmark palette vs cryptominer and ransomware — so the response acts
+/// inside the 40-epoch window.
+ml::TraceSet golden_corpus() {
+  util::Rng rng(0x601dc0);
+  const std::vector<workloads::BenchmarkSpec> palette =
+      workloads::all_single_threaded();
+  std::vector<std::pair<bool, hpc::HpcSignature>> sources;
+  for (std::size_t i = 0; i < palette.size(); i += 3) {
+    sources.emplace_back(false, workloads::make_signature(palette[i]));
+  }
+  sources.emplace_back(true, attacks::cryptominer_signature());
+  sources.emplace_back(true, attacks::ransomware_signature());
+  ml::TraceSet set;
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    for (int t = 0; t < 4; ++t) {
+      ml::LabeledTrace trace;
+      trace.malicious = sources[s].first;
+      trace.name = std::to_string(s) + "-" + std::to_string(t);
+      for (int i = 0; i < 25; ++i) {
+        trace.samples.push_back(sources[s].second.sample(rng));
+      }
+      set.traces.push_back(std::move(trace));
+    }
+  }
+  return set;
+}
+
+TEST(SnapshotGolden, EncodedBytesMatchPinnedDigest) {
+  const ml::SvmDetector detector = ml::SvmDetector::make(golden_corpus(), 3);
+  sim::SimSystem sys;
+  ValkyrieEngine engine(sys, detector, 2);
+  std::size_t arrivals = 0;
+  sim::ScenarioDriver driver(engine, golden_script(), [&arrivals] {
+    return scripted_actuator(arrivals++);
+  });
+  driver.run(40);
+
+  // The world must exercise what the pin is meant to cover.
+  const sim::ScenarioDriver::Stats stats = driver.stats();
+  EXPECT_GT(stats.spawned, golden_script().initial_processes);
+  EXPECT_GT(stats.driver_kills, 0u);
+  EXPECT_GT(stats.policy_kills, 0u);
+  const snapshot::SnapshotImage image = snapshot::capture(driver);
+  std::size_t throttled = 0;
+  for (const snapshot::AttachmentImage& att : image.engine.attachments) {
+    throttled += att.monitor.state ==
+                 static_cast<std::uint8_t>(ProcessState::kSuspicious);
+  }
+  EXPECT_GT(throttled, 0u);
+
+  const std::vector<std::uint8_t> bytes = snapshot::encode(image);
+  EXPECT_EQ(snapshot::encoded_size(image), bytes.size());
+  // This world's v5 encoding as the per-byte writer and bytewise CRC
+  // produced it: any drift in the byte layout moves these.
+  EXPECT_EQ(bytes.size(), 405725u);
+  EXPECT_EQ(util::crc32(bytes), 0x3730e9e8u);
+  EXPECT_EQ(util::fnv1a(bytes), 0xd704cfd97dc4ebfeULL);
 }
 
 }  // namespace

@@ -6,10 +6,12 @@
 // encoding) and the driver restore constructor's compatibility guards.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -212,6 +214,41 @@ TEST(SnapshotScenario, SnapshotterEncodesOffThreadInRequestOrder) {
   while (sys2.current_epoch() < sys.current_epoch()) restored.step();
   EXPECT_EQ(snapshot::encode(snapshot::capture(driver)),
             snapshot::encode(snapshot::capture(restored)));
+}
+
+TEST(SnapshotScenario, SnapshotterCountsRequestsThatBlockOnAFullQueue) {
+  const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
+  SimSystem sys;
+  ValkyrieEngine engine(sys, detector, 2);
+  ScenarioDriver driver(engine, churn_script());
+  for (int i = 0; i < 8; ++i) driver.step();
+
+  // The first delivery outlasts three back-to-back requests: the first
+  // image is in the sink, the second waits in the queue, so the third must
+  // block until the first delivery finishes — exactly one blocked request.
+  // The sink runs one delivery at a time on the worker, so the counter
+  // needs no lock.
+  int deliveries = 0;
+  snapshot::Snapshotter slow([&deliveries](std::vector<std::uint8_t>) {
+    if (deliveries++ == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    }
+  });
+  for (int i = 0; i < 3; ++i) slow.request(driver);
+  slow.flush();
+  EXPECT_EQ(slow.completed(), 3u);
+  EXPECT_EQ(slow.backpressure().blocked_requests, 1u);
+  EXPECT_GT(slow.backpressure().wait_ns, 0u);
+
+  // Draining between requests leaves nothing in flight: no request blocks.
+  snapshot::Snapshotter fast([](std::vector<std::uint8_t>) {});
+  for (int i = 0; i < 3; ++i) {
+    fast.request(driver);
+    fast.flush();
+  }
+  EXPECT_EQ(fast.completed(), 3u);
+  EXPECT_EQ(fast.backpressure().blocked_requests, 0u);
+  EXPECT_EQ(fast.backpressure().wait_ns, 0u);
 }
 
 }  // namespace

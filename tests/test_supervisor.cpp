@@ -6,12 +6,14 @@
 // SerialError(kIo) surfacing through the Snapshotter's worker thread).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -318,6 +320,27 @@ TEST(Supervisor, DurabilityFailuresArePricedNotFatal) {
   EXPECT_EQ(health.epochs_replayed, 20u);
   // Baseline + 12 interval checkpoints, minus the one that failed.
   EXPECT_EQ(health.checkpoints, 12u);
+}
+
+TEST(Supervisor, HealthCountsCheckpointBackpressure) {
+  const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
+  SupervisedEngine::Config config;
+  config.checkpoint_interval = 1;
+  // The baseline checkpoint's delivery outlasts the next two steps: step
+  // 1's checkpoint queues behind it, and step 2's must block on the
+  // two-image in-flight bound. Deliveries run one at a time on the
+  // Snapshotter worker, so the counter needs no lock.
+  auto deliveries = std::make_shared<int>(0);
+  config.durability_sink = [deliveries](std::vector<std::uint8_t>) {
+    if ((*deliveries)++ == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    }
+  };
+  SupervisedEngine supervisor(scenario_factory(detector, 2), config);
+  supervisor.run(2);
+  const SupervisedEngine::Health health = supervisor.health();
+  EXPECT_EQ(health.checkpoint_blocked_requests, 1u);
+  EXPECT_GT(health.checkpoint_wait_ns, 0u);
 }
 
 TEST(Supervisor, AdaptiveCadenceIsDeterministicAndConvergesToTheGoldenState) {
