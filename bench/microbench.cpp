@@ -22,6 +22,7 @@
 #include "ml/stat_detector.hpp"
 #include "ml/svm.hpp"
 #include "ml/window_accumulator.hpp"
+#include "sim/scenario.hpp"
 #include "sim/system.hpp"
 #include "snapshot/snapshot.hpp"
 #include "util/rng.hpp"
@@ -376,6 +377,78 @@ void BM_SnapshotParse(benchmark::State& state) {
                                                     bytes.size()));
 }
 BENCHMARK(BM_SnapshotParse);
+
+// --- Checkpoint capture ---------------------------------------------------
+//
+// The engine-thread half of a checkpoint, on a fixed churned world: 1024
+// standing processes plus 16 arrivals per epoch with a mean lifetime of 64
+// epochs, run for 448 epochs, so about 1k rows are live (histories of ~64
+// samples) and ~7k retired. `fresh` captures into an empty image; `refresh`
+// updates an image captured 16 epochs earlier (one checkpoint interval),
+// which is what the Snapshotter does with its spare.
+
+struct CaptureWorld {
+  static constexpr std::uint64_t kEpochs = 448;
+  static constexpr std::uint64_t kInterval = 16;
+
+  sim::SimSystem sys;
+  core::ValkyrieEngine engine{sys, cached_engine_detector()};
+  sim::ScenarioDriver driver{engine, script()};
+  snapshot::SnapshotImage previous;  // captured kInterval epochs ago
+
+  CaptureWorld() {
+    driver.reserve(driver.expected_processes(kEpochs));
+    for (std::uint64_t e = 0; e < kEpochs; ++e) {
+      if (e == kEpochs - kInterval) previous = snapshot::capture(driver);
+      driver.step();
+    }
+  }
+
+  static sim::ScenarioScript script() {
+    sim::ScenarioScript s;
+    s.seed = 0xcafe;
+    s.initial_processes = 1024;
+    s.arrival_rate = 16.0;
+    s.mean_lifetime = 64.0;
+    return s;
+  }
+};
+
+CaptureWorld& capture_world() {
+  static CaptureWorld world;
+  return world;
+}
+
+void BM_SnapshotCapture_fresh(benchmark::State& state) {
+  const CaptureWorld& world = capture_world();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(snapshot::capture(world.driver));
+  }
+  state.counters["tracked"] =
+      static_cast<double>(world.sys.tracked_processes());
+}
+BENCHMARK(BM_SnapshotCapture_fresh)
+    ->Name("BM_SnapshotCapture/fresh")
+    ->Unit(benchmark::kMillisecond);
+
+void BM_SnapshotCapture_refresh(benchmark::State& state) {
+  const CaptureWorld& world = capture_world();
+  snapshot::SnapshotImage image;
+  snapshot::CaptureStats rows;
+  for (auto _ : state) {
+    state.PauseTiming();
+    image = world.previous;
+    state.ResumeTiming();
+    rows = snapshot::refresh(world.driver, image);
+    benchmark::DoNotOptimize(image.system.procs.data());
+  }
+  state.counters["tracked"] =
+      static_cast<double>(world.sys.tracked_processes());
+  state.counters["reused"] = static_cast<double>(rows.rows_reused);
+}
+BENCHMARK(BM_SnapshotCapture_refresh)
+    ->Name("BM_SnapshotCapture/refresh")
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -161,6 +161,10 @@ SupervisedEngine::Health SupervisedEngine::health() const {
   const snapshot::Snapshotter::Backpressure bp = snapshotter_.backpressure();
   h.checkpoint_blocked_requests = bp.blocked_requests;
   h.checkpoint_wait_ns = bp.wait_ns;
+  const snapshot::Snapshotter::CaptureCost cost = snapshotter_.capture_cost();
+  h.checkpoint_capture_ns = cost.capture_ns;
+  h.checkpoint_rows_reused = cost.rows_reused;
+  h.checkpoint_rows_rebuilt = cost.rows_rebuilt;
   return h;
 }
 

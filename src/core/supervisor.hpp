@@ -120,6 +120,14 @@ class SupervisedEngine {
     /// exceeds checkpoint_interval x epoch time.
     std::uint64_t checkpoint_blocked_requests = 0;
     std::uint64_t checkpoint_wait_ns = 0;
+    /// Engine-thread capture work (Snapshotter::capture_cost()): total
+    /// time checkpoint requests spent capturing the world, and the cold
+    /// rows they reused from the previous image versus rebuilt from
+    /// scratch (every row, once, after a recovery builds a new world).
+    /// With checkpoint_wait_ns this is the whole checkpoint stall.
+    std::uint64_t checkpoint_capture_ns = 0;
+    std::uint64_t checkpoint_rows_reused = 0;
+    std::uint64_t checkpoint_rows_rebuilt = 0;
   };
 
   /// One priced recovery: where the world died, how many epochs the

@@ -23,8 +23,23 @@ static_assert(std::is_trivially_copyable_v<ResourceShares>);
 static_assert(std::is_trivially_copyable_v<hpc::HpcSample>);
 static_assert(std::is_trivially_copyable_v<ml::WindowAccumulator>);
 
+namespace {
+
+/// Capture-provenance ids: process-unique and never reused, unlike an
+/// object address, so an image of a destroyed system can never be
+/// mistaken for a capture of a new one built in its place.
+std::uint64_t next_instance_id() noexcept {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
+
 SimSystem::SimSystem(const PlatformProfile& platform, std::uint64_t seed)
-    : platform_(platform), rng_(seed), scheduler_(platform.scheduler) {}
+    : platform_(platform),
+      rng_(seed),
+      scheduler_(platform.scheduler),
+      instance_(next_instance_id()) {}
 
 ProcessId SimSystem::spawn(std::unique_ptr<Workload> workload) {
   if (workload == nullptr) {
@@ -66,6 +81,7 @@ std::uint32_t SimSystem::alloc_row() {
     return row;
   }
   cold_.emplace_back();
+  row_written_.push_back(0);
   return static_cast<std::uint32_t>(cold_.size() - 1);
 }
 
@@ -118,6 +134,7 @@ void SimSystem::reserve(std::size_t max_processes) {
     throw std::logic_error("SimSystem::reserve: epoch in progress");
   }
   cold_.reserve(max_processes);
+  row_written_.reserve(max_processes);
   free_rows_.reserve(max_processes);
   pid_map_.reserve(max_processes);
   // The retire queue's lazy prefix compaction lets up to kRetireCompactMin
@@ -731,7 +748,8 @@ void SimSystem::reserve_history(std::size_t epochs) {
   }
 }
 
-void SimSystem::reclaim_cold(ColdProc& cold) {
+void SimSystem::reclaim_cold(std::uint32_t row) {
+  ColdProc& cold = cold_[row];
   // Retirement pool: the history buffer (capacity intact) feeds the next
   // admission; the workload is destroyed. The scalar retirement snapshot
   // stays, so the cheap post-mortem observers keep answering.
@@ -745,6 +763,7 @@ void SimSystem::reclaim_cold(ColdProc& cold) {
   }
   cold.head = 0;
   cold.workload.reset();
+  stamp(row);
 }
 
 void SimSystem::release_row(std::uint32_t row) {
@@ -753,9 +772,8 @@ void SimSystem::release_row(std::uint32_t row) {
   // the next spawn. The history buffer is donated even without recycling
   // armed (spawn consumes the pool unconditionally), so a retention-bound
   // run recycles buffers at reclaim granularity.
-  ColdProc& cold = cold_[row];
-  reclaim_cold(cold);
-  cold.retired = RetiredState{};
+  reclaim_cold(row);
+  cold_[row].retired = RetiredState{};
   free_rows_.push_back(row);
 }
 
@@ -870,9 +888,10 @@ void SimSystem::retire_dead_slots() {
       retired.last_progress = last_progress_s_[s];
       retired.epochs_run = epochs_run_s_[s];
       retired.exit = exit_s_[s];
+      stamp(rec.row);
       rec.slot = kNoSlot;
       lifecycle_scratch_.push_back(pid);
-      if (recycle_histories_) reclaim_cold(cold);
+      if (recycle_histories_) reclaim_cold(rec.row);
       // Retention: schedule the full reclaim for when the window closes.
       // epoch_ is monotone, so queue epochs are non-decreasing (FIFO drain
       // can stop at the first unexpired entry).
@@ -912,6 +931,9 @@ void SimSystem::set_cgroup_caps(ProcessId pid, std::optional<double> cpu,
                                 std::optional<double> net,
                                 std::optional<double> fs) {
   const PidRec rec = rec_checked(pid);
+  // Pending and retired pids keep their caps in the cold row's retired
+  // snapshot, which captures then have to re-read.
+  if (!is_hot_slot(rec.slot)) stamp(rec.row);
   ResourceShares& cg = is_hot_slot(rec.slot) ? cgroup_s_[rec.slot]
                                              : cold_[rec.row].retired.cgroup;
   const auto clamp01 = [](double v) { return std::clamp(v, 0.0, 1.0); };
@@ -923,6 +945,7 @@ void SimSystem::set_cgroup_caps(ProcessId pid, std::optional<double> cpu,
 
 void SimSystem::clear_cgroup_caps(ProcessId pid) {
   const PidRec rec = rec_checked(pid);
+  if (!is_hot_slot(rec.slot)) stamp(rec.row);
   (is_hot_slot(rec.slot) ? cgroup_s_[rec.slot]
                          : cold_[rec.row].retired.cgroup) = ResourceShares{};
 }
@@ -947,8 +970,9 @@ void SimSystem::kill(ProcessId pid) {
     ColdProc& cold = cold_[rec.row];
     pid_map_.at(pid).slot = kNoSlot;
     cold.retired.exit = ExitReason::kKilled;
+    stamp(rec.row);
     scheduler_.remove_process(pid);
-    if (recycle_histories_) reclaim_cold(cold);
+    if (recycle_histories_) reclaim_cold(rec.row);
     // Cancelled admissions retire here, not in a compaction pass, so this
     // is their entry into the retention queue.
     if (retention_enabled_) retire_queue_.push_back({pid, epoch_});
@@ -994,6 +1018,9 @@ Workload& SimSystem::workload(ProcessId pid) {
   if (cold_[rec.row].workload == nullptr) {
     throw std::logic_error("SimSystem::workload: reclaimed by retirement pool");
   }
+  // Mutable access to a retired workload is a write captures must see (a
+  // live one is re-serialized at every capture anyway).
+  if (!is_hot_slot(rec.slot)) stamp(rec.row);
   return *cold_[rec.row].workload;
 }
 
@@ -1090,6 +1117,48 @@ std::span<const ProcessId> SimSystem::live_processes() const {
 }
 
 snapshot::SystemImage SimSystem::snapshot_state() const {
+  snapshot::SystemImage image;
+  (void)capture_into(image);
+  return image;
+}
+
+void SimSystem::capture_row(ProcessId pid, const PidRec& rec,
+                            snapshot::ProcImage& proc) const {
+  const ColdProc& cold = cold_[rec.row];
+  proc.pid = pid;
+  proc.slot = rec.slot;
+  // A reclaimed workload or history frees the row's buffers too: a reused
+  // image must not keep a retired row's old capacity alive.
+  if (cold.workload != nullptr) {
+    snapshot::poly_image_into(*cold.workload, proc.workload);
+  } else {
+    proc.workload = {};
+  }
+  if (cold.history.empty()) {
+    std::vector<hpc::HpcSample>().swap(proc.history);
+  } else if (history_cap_ != 0 && cold.history.size() == history_cap_ &&
+      cold.head != 0) {
+    // Linearize a wrapped ring oldest-first, so the image is layout-
+    // independent and a restored ring restarts with head 0 pointing at
+    // its (then-oldest) first element.
+    const auto head = static_cast<std::ptrdiff_t>(cold.head);
+    proc.history.assign(cold.history.begin() + head, cold.history.end());
+    proc.history.insert(proc.history.end(), cold.history.begin(),
+                        cold.history.begin() + head);
+  } else {
+    proc.history.assign(cold.history.begin(), cold.history.end());
+  }
+  proc.retired_cgroup = cold.retired.cgroup;
+  proc.retired_effective = cold.retired.effective;
+  proc.retired_last_sample = cold.retired.last_sample;
+  proc.retired_accum = cold.retired.accumulator.state();
+  proc.retired_last_progress = cold.retired.last_progress;
+  proc.retired_epochs_run = cold.retired.epochs_run;
+  proc.retired_exit = static_cast<std::uint8_t>(cold.retired.exit);
+}
+
+snapshot::CaptureStats SimSystem::capture_into(
+    snapshot::SystemImage& image) const {
   if (epoch_open_) {
     throw std::logic_error("SimSystem::snapshot_state: epoch in progress");
   }
@@ -1100,7 +1169,14 @@ snapshot::SystemImage SimSystem::snapshot_state() const {
         "SimSystem::snapshot_state: lifecycle queues not drained");
   }
 
-  snapshot::SystemImage image;
+  // Read the provenance, then clear it: until this capture completes the
+  // image is half old and half new, and a throw (an unsupported workload)
+  // must leave it untrusted.
+  const bool trusted = image.source_instance == instance_;
+  const std::uint64_t since = image.source_serial;
+  const auto seen_pids = static_cast<std::size_t>(image.total_spawned);
+  image.source_instance = 0;
+
   image.epoch_ms = platform_.epoch_ms;
   image.hpc_noise = platform_.hpc_noise;
   image.scheduler = scheduler_.config();
@@ -1113,15 +1189,15 @@ snapshot::SystemImage SimSystem::snapshot_state() const {
   image.total_spawned = next_pid_;
   image.retention_enabled = retention_enabled_;
   image.retention_epochs = retention_epochs_;
-  image.retire_queue.reserve(retire_queue_.size() - retire_head_);
+  image.retire_queue.clear();
   for (std::size_t i = retire_head_; i < retire_queue_.size(); ++i) {
     image.retire_queue.emplace_back(retire_queue_[i].pid,
                                     retire_queue_[i].epoch);
   }
 
-  image.slots.reserve(slot_pid_.size());
+  image.slots.resize(slot_pid_.size());
   for (std::size_t s = 0; s < slot_pid_.size(); ++s) {
-    snapshot::SlotImage slot;
+    snapshot::SlotImage& slot = image.slots[s];
     slot.pid = slot_pid_[s];
     slot.rng = rng_s_[s].state();
     slot.cgroup = cgroup_s_[s];
@@ -1136,59 +1212,106 @@ snapshot::SystemImage SimSystem::snapshot_state() const {
     slot.exit = static_cast<std::uint8_t>(exit_s_[s]);
     slot.invalid_streak = invalid_streak_s_[s];
     slot.feature_streak = feature_streak_s_[s];
-    image.slots.push_back(std::move(slot));
   }
 
-  // Keyed cold rows, canonicalized to ascending-pid order: the pid map's
-  // bucket order depends on its capacity history (which a restore does not
-  // reproduce), and capture bytes must not.
-  std::vector<std::pair<ProcessId, PidRec>> tracked;
-  tracked.reserve(pid_map_.size());
-  pid_map_.for_each([&](ProcessId pid, const PidRec& rec) {
-    tracked.emplace_back(pid, rec);
-  });
-  std::sort(tracked.begin(), tracked.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  // Cold rows, ascending pid. Rows at index >= `out` are spent: their
+  // buffers are reused by rows serialized from scratch. `pids` collects
+  // the output order for the scheduler gather below.
+  snapshot::CaptureStats stats;
+  std::vector<snapshot::ProcImage>& rows = image.procs;
+  std::vector<ProcessId> pids;
+  pids.reserve(pid_map_.size());
+  std::size_t out = 0;
+  const auto rebuild = [&](ProcessId pid, const PidRec& rec) {
+    if (out == rows.size()) rows.emplace_back();
+    capture_row(pid, rec, rows[out++]);
+    pids.push_back(pid);
+    ++stats.rows_rebuilt;
+  };
+  if (trusted) {
+    // The image's rows are ascending-pid already, and every pid it lacks
+    // was spawned after it (pids are never reused): walk its rows, drop
+    // the reclaimed ones, then append the pids spawned since. Most rows
+    // are retired and untouched, so the walk reads only each row's pid and
+    // slot (prefetched ahead: the image is long out of cache) and the
+    // dense write stamps.
+    constexpr std::size_t kLookahead = 8;
+    const std::size_t spare = rows.size();
+    for (std::size_t j = 0; j < spare; ++j) {
+      if (j + kLookahead < spare) __builtin_prefetch(&rows[j + kLookahead]);
+      const PidRec* found = pid_map_.find(rows[j].pid);
+      if (found == nullptr) continue;  // reclaimed since
+      const PidRec rec = *found;
+      if (out != j) rows[out] = std::move(rows[j]);
+      snapshot::ProcImage& proc = rows[out++];
+      pids.push_back(proc.pid);
+      // Every write to a cold row other than step_slot's sample append
+      // stamps it, so an unstamped row differs from its image only by
+      // what a live process did since: run (workload state) and append.
+      const bool unwritten = row_written_[rec.row] <= since;
+      const bool was_live = is_hot_slot(proc.slot);
+      const bool live = is_hot_slot(rec.slot);
+      if (unwritten && !was_live && !live) {
+        ++stats.rows_reused;  // retired then, untouched since
+        continue;
+      }
+      const ColdProc& cold = cold_[rec.row];
+      // A full ring overwrites its oldest samples in place.
+      const bool appended_only =
+          (history_cap_ == 0 || cold.history.size() < history_cap_) &&
+          proc.history.size() <= cold.history.size();
+      if (unwritten && was_live && live && appended_only) {
+        proc.slot = rec.slot;
+        snapshot::poly_image_into(*cold.workload, proc.workload);
+        proc.history.insert(
+            proc.history.end(),
+            cold.history.begin() +
+                static_cast<std::ptrdiff_t>(proc.history.size()),
+            cold.history.end());
+        ++stats.rows_reused;
+      } else {
+        capture_row(proc.pid, rec, proc);
+        ++stats.rows_rebuilt;
+      }
+    }
+    // Room for the pids spawned since, plus as many again: a spare lives
+    // through many refreshes, and push_back's doubling would leave up to
+    // half of its rows as slack.
+    const std::size_t spawned = next_pid_ - seen_pids;
+    if (rows.capacity() < out + spawned) rows.reserve(out + 2 * spawned);
+    for (std::size_t pid = seen_pids; pid < next_pid_; ++pid) {
+      const auto p = static_cast<ProcessId>(pid);
+      if (const PidRec* rec = pid_map_.find(p)) rebuild(p, *rec);
+    }
+  } else {
+    // Canonicalize the pid map's bucket order (which depends on its
+    // capacity history, which a restore does not reproduce) to ascending
+    // pid: capture bytes must not depend on it.
+    std::vector<std::pair<ProcessId, PidRec>> tracked;
+    tracked.reserve(pid_map_.size());
+    pid_map_.for_each([&](ProcessId pid, const PidRec& rec) {
+      tracked.emplace_back(pid, rec);
+    });
+    std::sort(tracked.begin(), tracked.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    rows.reserve(tracked.size());
+    for (const auto& [pid, rec] : tracked) rebuild(pid, rec);
+  }
+  rows.resize(out);
 
-  image.procs.reserve(tracked.size());
-  for (const auto& [pid, rec] : tracked) {
-    const ColdProc& cold = cold_[rec.row];
-    snapshot::ProcImage proc;
-    proc.pid = pid;
-    proc.slot = rec.slot;
-    if (cold.workload != nullptr) {
-      proc.workload = snapshot::poly_image(*cold.workload);
-    }
-    if (history_cap_ != 0 && cold.history.size() == history_cap_ &&
-        cold.head != 0) {
-      // Linearize a wrapped ring oldest-first, so the image is layout-
-      // independent and a restored ring restarts with head 0 pointing at
-      // its (then-oldest) first element.
-      proc.history.reserve(history_cap_);
-      proc.history.insert(proc.history.end(),
-                          cold.history.begin() +
-                              static_cast<std::ptrdiff_t>(cold.head),
-                          cold.history.end());
-      proc.history.insert(proc.history.end(), cold.history.begin(),
-                          cold.history.begin() +
-                              static_cast<std::ptrdiff_t>(cold.head));
-    } else {
-      proc.history = cold.history;
-    }
-    proc.retired_cgroup = cold.retired.cgroup;
-    proc.retired_effective = cold.retired.effective;
-    proc.retired_last_sample = cold.retired.last_sample;
-    proc.retired_accum = cold.retired.accumulator.state();
-    proc.retired_last_progress = cold.retired.last_progress;
-    proc.retired_epochs_run = cold.retired.epochs_run;
-    proc.retired_exit = static_cast<std::uint8_t>(cold.retired.exit);
-    image.procs.push_back(std::move(proc));
+  // The scheduler's factor table keys exactly the tracked pids (weights
+  // and cold rows are created and reclaimed together), so its canonical
+  // ascending-pid form is one batched gather in row order.
+  std::vector<double> factors(pids.size());
+  scheduler_.gather_factors(pids, factors);
+  image.sched_entries.resize(pids.size());
+  for (std::size_t i = 0; i < pids.size(); ++i) {
+    image.sched_entries[i] = {pids[i], factors[i]};
   }
 
-  // Already ascending-pid (factor_entries canonicalizes), and exactly the
-  // tracked pid set: weights and cold rows are created/reclaimed together.
-  image.sched_entries = scheduler_.factor_entries();
-  return image;
+  image.source_serial = write_serial_;
+  image.source_instance = instance_;
+  return stats;
 }
 
 void SimSystem::restore_from(const snapshot::SystemImage& image,
@@ -1335,7 +1458,9 @@ void SimSystem::restore_from(const snapshot::SystemImage& image,
     }
   }
 
-  // Commit.
+  // Commit. A new lineage: no image captured before this point may be
+  // refreshed against the rebuilt rows.
+  instance_ = next_instance_id();
   rng_.set_state(image.rng);
   // The RNG kind is run state the image carries (set_state only restores
   // the counters/words): adopt it both ways, so restoring a xoshiro image
@@ -1366,6 +1491,7 @@ void SimSystem::restore_from(const snapshot::SystemImage& image,
   // map, so the layout difference is invisible.
   cold_.clear();
   cold_.resize(procs);
+  row_written_.assign(procs, 0);
   free_rows_.clear();
   pid_map_.clear();
   pid_map_.reserve(procs);
@@ -1384,6 +1510,7 @@ void SimSystem::restore_from(const snapshot::SystemImage& image,
     cold.retired.last_progress = proc.retired_last_progress;
     cold.retired.epochs_run = proc.retired_epochs_run;
     cold.retired.exit = static_cast<ExitReason>(proc.retired_exit);
+    stamp(static_cast<std::uint32_t>(i));
     pid_map_.insert(proc.pid,
                     PidRec{proc.slot, static_cast<std::uint32_t>(i)});
   }

@@ -58,6 +58,8 @@
 
 namespace valkyrie::snapshot {
 struct SystemImage;
+struct ProcImage;
+struct CaptureStats;
 class WorkloadRegistry;
 }  // namespace valkyrie::snapshot
 
@@ -497,19 +499,32 @@ class SimSystem {
 
   // --- Snapshot/restore ------------------------------------------------------
 
-  /// Captures the full simulator state at a closed epoch boundary: the SoA
-  /// hot arrays exactly as they stand (including slots marked dead but not
-  /// yet compacted), the tracked cold rows keyed by pid (sparse — reclaimed
-  /// pids simply have no row) with workloads serialized through their
-  /// snapshot hooks, the master RNG, the scheduler's keyed factor entries,
-  /// and the retention state. Everything keyed is emitted in ascending-pid
-  /// order, so capture bytes are independent of hash-table layout. Reads
-  /// raw members — never live_processes(), whose
-  /// logically-const compaction would change the state being captured.
+  /// Captures the full simulator state at a closed epoch boundary INTO
+  /// `image`, overwriting it: the SoA hot arrays exactly as they stand
+  /// (including slots marked dead but not yet compacted), the tracked cold
+  /// rows keyed by pid (sparse — reclaimed pids simply have no row) with
+  /// workloads serialized through their snapshot hooks, the master RNG, the
+  /// scheduler's keyed factor entries, and the retention state. Everything
+  /// keyed is emitted in ascending-pid order, so capture bytes are
+  /// independent of hash-table layout. Reads raw members — never
+  /// live_processes(), whose logically-const compaction would change the
+  /// state being captured.
+  ///
+  /// When `image` is an earlier capture of THIS instance (its
+  /// source_instance tag; restore_from renews the id), its cold rows are
+  /// refreshed in place instead of rebuilt: a row that was retired then and
+  /// has not been written since is left untouched, and a live row
+  /// re-serializes its workload and appends the samples its image lacks (a
+  /// full bounded ring is copied whole, since wrapping overwrites its
+  /// oldest samples in place). Either way the result is exactly what a
+  /// capture into an empty image produces.
   /// Throws std::logic_error while an epoch is open (snapshots are
   /// epoch-consistent by construction) and
   /// SerialError(kUnsupportedWorkload) if a live workload lacks snapshot
-  /// support.
+  /// support; after a throw `image` is untrusted (rebuilt whole next time).
+  snapshot::CaptureStats capture_into(snapshot::SystemImage& image) const;
+
+  /// capture_into() an empty image.
   [[nodiscard]] snapshot::SystemImage snapshot_state() const;
 
   /// Rebuilds this system from a captured image, bit-identically: a run
@@ -570,6 +585,13 @@ class SimSystem {
     RetiredState retired{};
   };
 
+  /// Marks a cold row as written (see row_written_).
+  void stamp(std::uint32_t row) noexcept { row_written_[row] = ++write_serial_; }
+
+  /// Serializes one cold row into `proc` from scratch, reusing its buffers.
+  void capture_row(ProcessId pid, const PidRec& rec,
+                   snapshot::ProcImage& proc) const;
+
   /// pid -> {slot, row}, throwing std::out_of_range on an unknown (never
   /// spawned, or reclaimed) pid; rec.slot is kNoSlot for a retired
   /// process, kPendingSlot for one whose admission is queued.
@@ -604,7 +626,7 @@ class SimSystem {
   /// Retirement-pool reclaim of one retired cold row: donates the history
   /// buffer (capacity intact), destroys the workload. The scalar retirement
   /// snapshot stays (release_row is the full reclaim).
-  void reclaim_cold(ColdProc& cold);
+  void reclaim_cold(std::uint32_t row);
 
   /// Stable compaction: retires every slot whose exit flag is set, shifting
   /// survivors down (preserving ascending pid order), snapshotting the
@@ -688,6 +710,13 @@ class SimSystem {
   // never allowed to reach observable output (snapshot capture sorts).
   util::PidMap<PidRec> pid_map_;
   std::vector<ColdProc> cold_;            // row pool (indexed by PidRec::row)
+  // Per cold row: write_serial_ at its last write other than step_slot's
+  // sample append — retirement, cancelled admission, cgroup caps routed to
+  // the retired snapshot, mutable access to a retired workload, reclaim,
+  // restore. A capture whose source_serial is at least this saw the row as
+  // it stands. Dense (not a ColdProc field) so a refresh can confirm
+  // thousands of untouched retired rows without reading the rows.
+  std::vector<std::uint64_t> row_written_;
   std::vector<std::uint32_t> free_rows_;  // reclaimed rows awaiting reuse
   // Pids allocated so far (pid = next_pid_ at spawn). Decoupled from
   // cold_.size() now that rows recycle.
@@ -772,6 +801,13 @@ class SimSystem {
   std::size_t retire_head_ = 0;
   // Borrowed sensor-fault schedule; nullptr = injection and validation off.
   const fault::FaultPlane* sensor_faults_ = nullptr;
+  // --- Capture provenance (see capture_into) --------------------------------
+  // Process-unique id of this system's current state lineage, renewed by
+  // restore_from: an image tagged with another id (another system, or this
+  // one before a restore) is never trusted, whatever its row contents.
+  std::uint64_t instance_ = 0;
+  // Bumped by every stamp(); captures record it as source_serial.
+  std::uint64_t write_serial_ = 0;
 };
 
 }  // namespace valkyrie::sim

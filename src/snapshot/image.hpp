@@ -123,6 +123,16 @@ struct SystemImage {
   std::uint64_t retention_epochs = 0;
   std::vector<std::pair<sim::ProcessId, std::uint64_t>> retire_queue;
 
+  /// Provenance for an in-place refresh (SimSystem::capture_into), never
+  /// encoded: the id of the SimSystem instance whose capture last filled
+  /// this image and that system's row-write serial at the time. 0 = not a
+  /// complete capture of any live system (default-constructed, parsed, or
+  /// a capture that threw half way), so every row is rebuilt from scratch.
+  /// An image's rows are trusted only by the instance that wrote them and
+  /// only while nobody but that instance's captures has modified them.
+  std::uint64_t source_instance = 0;
+  std::uint64_t source_serial = 0;
+
   std::vector<SlotImage> slots;  // hot arrays, slot order (ascending pid)
   /// Cold rows for exactly the tracked pids, ascending-pid (v5: sparse
   /// keyed form; see ProcImage::pid).
@@ -147,6 +157,16 @@ struct MonitorImage {
   std::uint8_t threat_state = 0;  // core::ProcessState of the ThreatIndex
   std::uint64_t measurements = 0;
   std::uint8_t state = 0;  // core::ProcessState of the monitor
+};
+
+/// What one capture did with the cold rows of the image it wrote into:
+/// rows whose previous content was trusted (a retired row left exactly as
+/// it was, or a live row brought up to date by re-serializing its workload
+/// and appending the samples its image lacks) versus rows serialized from
+/// scratch.
+struct CaptureStats {
+  std::uint64_t rows_reused = 0;
+  std::uint64_t rows_rebuilt = 0;
 };
 
 /// One live engine attachment (detach tombstones are skipped at capture —

@@ -23,14 +23,13 @@ using util::SerialError;
 
 }  // namespace
 
-PolyImage poly_image(const sim::Workload& workload) {
+void poly_image_into(const sim::Workload& workload, PolyImage& out) {
   const std::string_view type = workload.snapshot_type();
   if (type.empty()) throw_unsupported("workload", workload.name());
-  PolyImage out;
-  out.type = std::string(type);
+  out.type.assign(type);
+  out.payload.clear();
   util::ByteWriter writer(out.payload);
   workload.snapshot_save(writer);
-  return out;
 }
 
 PolyImage poly_image(const core::Actuator& actuator) {

@@ -23,9 +23,11 @@
 namespace valkyrie::snapshot {
 
 /// Serializes a workload/actuator into a PolyImage (the capture-side
-/// counterpart of the registries). Throws SerialError(kUnsupportedWorkload)
+/// counterpart of the registries); a workload goes into an existing image,
+/// reusing its type and payload buffers (a refresh re-serializes every
+/// live workload at every capture). Throws SerialError(kUnsupportedWorkload)
 /// when the object does not advertise a snapshot type.
-[[nodiscard]] PolyImage poly_image(const sim::Workload& workload);
+void poly_image_into(const sim::Workload& workload, PolyImage& out);
 [[nodiscard]] PolyImage poly_image(const core::Actuator& actuator);
 
 class WorkloadRegistry {

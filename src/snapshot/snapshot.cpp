@@ -583,17 +583,31 @@ struct DiffSink {
 
 }  // namespace
 
+CaptureStats refresh(const core::ValkyrieEngine& engine,
+                     SnapshotImage& image) {
+  const CaptureStats stats = engine.system().capture_into(image.system);
+  image.engine = engine.snapshot_state();
+  image.has_driver = false;
+  image.driver = {};
+  return stats;
+}
+
+CaptureStats refresh(const sim::ScenarioDriver& driver, SnapshotImage& image) {
+  const CaptureStats stats = refresh(driver.engine(), image);
+  image.has_driver = true;
+  image.driver = driver.snapshot_state();
+  return stats;
+}
+
 SnapshotImage capture(const core::ValkyrieEngine& engine) {
   SnapshotImage image;
-  image.system = engine.system().snapshot_state();
-  image.engine = engine.snapshot_state();
+  (void)refresh(engine, image);
   return image;
 }
 
 SnapshotImage capture(const sim::ScenarioDriver& driver) {
-  SnapshotImage image = capture(driver.engine());
-  image.has_driver = true;
-  image.driver = driver.snapshot_state();
+  SnapshotImage image;
+  (void)refresh(driver, image);
   return image;
 }
 

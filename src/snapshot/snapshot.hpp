@@ -64,15 +64,23 @@ struct RestoreContext {
   ActuatorRegistry actuators = ActuatorRegistry::bundled();
 };
 
-/// Captures engine + system state at a closed epoch boundary. Throws
+/// Captures engine + system state at a closed epoch boundary into `image`,
+/// overwriting it. When `image` is an earlier capture of the same system
+/// (see SimSystem::capture_into), its cold rows are refreshed in place —
+/// retired rows stay as they are, live histories append only their new
+/// samples — so a checkpoint costs what changed since, not the whole
+/// world; the result is exactly what capture() returns. Throws
 /// std::logic_error while an epoch is open and SnapshotError
 /// (kUnsupportedWorkload) if a live workload/actuator lacks snapshot
-/// support. The capture itself is a structured copy — cheap enough for the
-/// engine thread; encoding/CRC belong on a Snapshotter worker.
-[[nodiscard]] SnapshotImage capture(const core::ValkyrieEngine& engine);
+/// support. Encoding/CRC belong on a Snapshotter worker.
+CaptureStats refresh(const core::ValkyrieEngine& engine, SnapshotImage& image);
 
 /// As above, plus the scenario driver's section (RNG, stats, scheduled
 /// departures, campaign progress) so a churn campaign can resume mid-run.
+CaptureStats refresh(const sim::ScenarioDriver& driver, SnapshotImage& image);
+
+/// refresh() into an empty image.
+[[nodiscard]] SnapshotImage capture(const core::ValkyrieEngine& engine);
 [[nodiscard]] SnapshotImage capture(const sim::ScenarioDriver& driver);
 
 /// Serializes an image: magic "VLKYSNP1", format version, then one

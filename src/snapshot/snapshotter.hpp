@@ -1,16 +1,34 @@
 // Snapshotter: takes the expensive half of snapshotting off the engine
 // thread.
 //
-// capture() is a structured copy — O(state) but allocation-light and cheap
-// enough for an epoch boundary. encode() (byte packing + CRC32 over every
-// section) is the part worth hiding, so the Snapshotter runs it on its own
-// worker thread: the engine thread calls request(), which captures the
-// image synchronously (the engine must not advance mid-copy — that is what
-// epoch consistency means) and hands it to the worker, which encodes and
-// delivers the bytes to the sink. A bounded two-image queue keeps memory
-// flat; request() blocks only when BOTH buffers are still in flight, i.e.
-// snapshots are being requested faster than they encode. Such blocking
-// stalls the engine thread, so it is counted (backpressure()).
+// A capture must run on the engine thread (the engine must not advance
+// mid-copy — that is what epoch consistency means), and a from-scratch
+// capture of a churned world is mostly wasted work: measured on response_1k
+// it cost 6–8 ms, most of it re-serializing retired rows that can never
+// change again. So the Snapshotter keeps the images its worker has
+// finished encoding as SPARES, and request() refreshes the newest in place
+// (snapshot::refresh): retired rows stay as they are, and only the slot
+// table, the live rows, the rows that changed and the engine section are
+// written afresh. The refreshed image is byte-for-byte what a fresh
+// capture would encode. request() then hands the image to the worker,
+// which encodes it (byte packing + CRC32 over every section) and delivers
+// the bytes to the sink.
+//
+// A spare keeps every row except the live rows' sample histories, which
+// the worker frees after encoding: they are most of an image's memory, and
+// a world that keeps growing between checkpoints reuses it (a spare that
+// kept them cost +13–17% peak RSS on response_1k). Refresh then copies
+// each live history whole, one contiguous copy per live row.
+//
+// A bounded two-image queue keeps memory flat. request() claims its queue
+// slot before it captures, blocking only while BOTH slots are still in
+// flight, i.e. snapshots are being requested faster than they encode; the
+// image that frees the slot then becomes the spare it refreshes. A new
+// image is built only when there is no spare, so at most kMaxInFlight
+// images ever exist (one fewer than when every request captured into a
+// fresh image while two were in flight). Blocking stalls the engine
+// thread, so it is counted (backpressure()), as is the capture time itself
+// (capture_cost()).
 #pragma once
 
 #include <condition_variable>
@@ -49,21 +67,26 @@ class Snapshotter {
   Snapshotter(const Snapshotter&) = delete;
   Snapshotter& operator=(const Snapshotter&) = delete;
 
-  /// Captures the engine (epoch-consistent, synchronous) and queues the
-  /// image for background encoding. Blocks while two images are already
-  /// in flight. Throws what capture() throws (open epoch, unsupported
-  /// workload) — nothing is queued on failure. `tag` is delivered to a
-  /// TaggedSink alongside this image's bytes (ignored by a plain Sink).
+  /// Captures the engine (epoch-consistent, synchronous) into the newest
+  /// spare image and queues it for background encoding. Blocks, before
+  /// capturing, while two images are already in flight. Throws what
+  /// capture() throws (open epoch, unsupported workload) — nothing is
+  /// queued on failure — and rethrows a parked encode/sink failure. `tag`
+  /// is delivered to a TaggedSink alongside this image's bytes (ignored by
+  /// a plain Sink).
   void request(const core::ValkyrieEngine& engine, std::uint64_t tag = 0);
 
   /// As above, with the scenario driver's section included.
   void request(const sim::ScenarioDriver& driver, std::uint64_t tag = 0);
 
-  /// Blocks until every queued image has been encoded and delivered.
-  /// Rethrows here (or at the next request()) anything the sink threw on
-  /// the worker thread — e.g. file_sink's typed SerialError(kIo) — so disk
-  /// failures surface on the engine thread instead of terminating the
-  /// process.
+  /// Blocks until every queued image has been encoded and delivered, and
+  /// frees the spare images: a flushed Snapshotter holds no image, and the
+  /// next request() captures from scratch. (A supervisor flushes before it
+  /// rebuilds a world from a checkpoint, and the old world's spares could
+  /// never serve the new one.) Rethrows here (or at the next request())
+  /// anything the sink threw on the worker thread — e.g. file_sink's typed
+  /// SerialError(kIo) — so disk failures surface on the engine thread
+  /// instead of terminating the process.
   void flush();
 
   /// Snapshots delivered to the sink so far.
@@ -79,6 +102,17 @@ class Snapshotter {
   };
   [[nodiscard]] Backpressure backpressure() const;
 
+  /// Engine-thread capture work: total time spent inside request()'s
+  /// refresh, and the cold rows it reused from the spare image versus
+  /// rebuilt from scratch (a new world, e.g. after a restore, rebuilds
+  /// every row once).
+  struct CaptureCost {
+    std::uint64_t capture_ns = 0;
+    std::uint64_t rows_reused = 0;
+    std::uint64_t rows_rebuilt = 0;
+  };
+  [[nodiscard]] CaptureCost capture_cost() const;
+
   /// Non-blocking poll: returns (and clears) any parked encode/sink
   /// failure without waiting for the queue to drain. Lets a supervisor
   /// surface checkpoint failures at its next step instead of only at the
@@ -91,17 +125,25 @@ class Snapshotter {
     std::uint64_t tag = 0;
   };
 
-  void enqueue(SnapshotImage image, std::uint64_t tag);
+  /// Claims a queue slot, refreshes the newest spare image (or a new one)
+  /// from `world` and queues it; World is an engine or a scenario driver.
+  template <typename World>
+  void capture_and_enqueue(const World& world, std::uint64_t tag);
   void worker_loop();
 
   TaggedSink sink_;
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;   // signals the worker: queue non-empty
   std::condition_variable space_cv_;  // signals producers: slot free / idle
-  std::deque<Pending> queue_;         // bounded at kMaxInFlight
+  std::deque<Pending> queue_;  // + encoding_ + claimed_ <= kMaxInFlight
   std::exception_ptr error_;          // sink/encode failure awaiting rethrow
   std::uint64_t completed_ = 0;
   Backpressure backpressure_;
+  CaptureCost capture_cost_;
+  // Images the worker has finished with, oldest first; request() takes the
+  // newest.
+  std::vector<SnapshotImage> spares_;
+  std::size_t claimed_ = 0;  // slots held by requests still capturing
   bool encoding_ = false;  // worker is between pop and sink delivery
   bool stop_ = false;
   std::thread worker_;

@@ -6,6 +6,7 @@
 // SerialError(kIo) surfacing through the Snapshotter's worker thread).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -166,7 +167,8 @@ TEST(Supervisor, RecoveryWorksAcrossWorkerCounts) {
 /// (count 1) and "deterministic" (count huge) failures are both expressible.
 class FusedThrowDetector final : public ml::Detector {
  public:
-  FusedThrowDetector(const ml::Detector& inner, std::shared_ptr<int> fuse)
+  FusedThrowDetector(const ml::Detector& inner,
+                     std::shared_ptr<std::atomic<int>> fuse)
       : inner_(inner), fuse_(std::move(fuse)) {}
 
   [[nodiscard]] std::string_view name() const override {
@@ -209,20 +211,25 @@ class FusedThrowDetector final : public ml::Detector {
 
  private:
   void burn() const {
-    if (*fuse_ > 0) {
-      --*fuse_;
-      throw std::runtime_error("transient detector outage");
+    // Every shard's worker calls in concurrently: claim one unit with a
+    // compare-exchange, so exactly `fuse` calls throw.
+    int left = fuse_->load(std::memory_order_relaxed);
+    while (left > 0) {
+      if (fuse_->compare_exchange_weak(left, left - 1,
+                                       std::memory_order_relaxed)) {
+        throw std::runtime_error("transient detector outage");
+      }
     }
   }
   const ml::Detector& inner_;
-  std::shared_ptr<int> fuse_;
+  std::shared_ptr<std::atomic<int>> fuse_;
 };
 
 TEST(Supervisor, TransientStepExceptionIsRecoveredAndRetried) {
   const ml::SvmDetector inner = ml::SvmDetector::make(training_corpus(), 3);
   const std::vector<std::uint8_t> golden = golden_run(inner);
 
-  auto fuse = std::make_shared<int>(0);
+  auto fuse = std::make_shared<std::atomic<int>>(0);
   const FusedThrowDetector detector(inner, fuse);
   SupervisedEngine::Config config;
   config.checkpoint_interval = 1;  // replay-free retries: pure fuse logic
@@ -240,7 +247,7 @@ TEST(Supervisor, TransientStepExceptionIsRecoveredAndRetried) {
 
 TEST(Supervisor, DeterministicFaultExhaustsTheRecoveryCap) {
   const ml::SvmDetector inner = ml::SvmDetector::make(training_corpus(), 3);
-  auto fuse = std::make_shared<int>(0);
+  auto fuse = std::make_shared<std::atomic<int>>(0);
   const FusedThrowDetector detector(inner, fuse);
   SupervisedEngine::Config config;
   config.checkpoint_interval = 1;
@@ -341,6 +348,41 @@ TEST(Supervisor, HealthCountsCheckpointBackpressure) {
   const SupervisedEngine::Health health = supervisor.health();
   EXPECT_EQ(health.checkpoint_blocked_requests, 1u);
   EXPECT_GT(health.checkpoint_wait_ns, 0u);
+}
+
+TEST(Supervisor, HealthCountsCaptureCostAndRowReuse) {
+  const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
+  SupervisedEngine::Config config;
+  config.checkpoint_interval = 2;
+  config.crash_epochs = {40};
+  SupervisedEngine supervisor(scenario_factory(detector, 2), config);
+
+  // The baseline builds every row from scratch.
+  const SupervisedEngine::Health base = supervisor.health();
+  EXPECT_GT(base.checkpoint_capture_ns, 0u);
+  EXPECT_EQ(base.checkpoint_rows_reused, 0u);
+  EXPECT_EQ(base.checkpoint_rows_rebuilt,
+            supervisor.system().tracked_processes());
+
+  // Later checkpoints refresh an image the encoder has finished with:
+  // whichever of the 19 found one reused its rows.
+  supervisor.run(39);
+  const SupervisedEngine::Health refreshed = supervisor.health();
+  EXPECT_GT(refreshed.checkpoint_rows_reused, 0u);
+  EXPECT_GT(refreshed.checkpoint_capture_ns, base.checkpoint_capture_ns);
+
+  // The crash after step 40 rebuilds the world from step 38's checkpoint
+  // (recovery flushes the Snapshotter, which frees its spares); the
+  // checkpoint step 41 owes then captures a world no image holds: every
+  // row is rebuilt.
+  supervisor.step();
+  const SupervisedEngine::Health before = supervisor.health();
+  ASSERT_EQ(before.recoveries, 1u);
+  supervisor.step();
+  const SupervisedEngine::Health after = supervisor.health();
+  EXPECT_EQ(after.checkpoint_rows_reused, before.checkpoint_rows_reused);
+  EXPECT_EQ(after.checkpoint_rows_rebuilt - before.checkpoint_rows_rebuilt,
+            supervisor.system().tracked_processes());
 }
 
 TEST(Supervisor, AdaptiveCadenceIsDeterministicAndConvergesToTheGoldenState) {
