@@ -30,7 +30,7 @@
 //      history append vector-vs-ring, window fold scalar-vs-plane, batch
 //      inference, serial commit, full-step reference), then single-thread
 //      ns/proc/epoch for baseline vs the bit-exact perf configuration
-//      (plane-major fold + counter RNG + bounded ring) vs perf + the fast
+//      (plane-major fold + counter RNG) vs perf + the fast
 //      inference tier — with the fast tier's detection-efficacy deltas
 //      measured fig. 1 style (accuracy vs window length, both tiers).
 //   7. Faults: what graceful degradation costs (PR 7). Closed-population
@@ -571,7 +571,6 @@ PidScalePoint run_pid_scale_point(std::size_t target_live,
                                   std::uint64_t total, bool smoke) {
   sim::SimSystem sys;
   sys.enable_counter_rng();
-  sys.enable_bounded_history(8);
   sys.enable_history_recycling();
   sys.enable_retirement_retention(2);
   const std::size_t batch = std::max<std::size_t>(1, target_live / 8);
@@ -931,9 +930,9 @@ std::vector<BreakdownRow> run_sim_breakdown(const ml::MlpDetector& detector,
 // --- The sim-floor A/B: perf options vs the PR 8 baseline --------------------
 //
 // The headline rows: single-thread ns/proc/epoch for the stock system
-// (xoshiro, unbounded histories, per-slot scalar fold, bit-exact kernels)
-// vs the perf configuration (plane-major fold + counter RNG + bounded ring
-// histories, still bit-exact) vs perf + the approximate fast inference
+// (xoshiro, per-slot scalar fold, bit-exact kernels) vs the perf
+// configuration (plane-major fold + counter RNG, still bit-exact) vs
+// perf + the approximate fast inference
 // tier. The exact-perf row must replay byte-identically to baseline; the
 // fast row trades pinned, measured accuracy deltas (fast_tier_efficacy) for
 // the last stretch of throughput.
@@ -976,11 +975,6 @@ SimFastTriple run_sim_fast(const ml::Detector& detector,
     if (perf_options) {
       w.sys->enable_plane_major_fold();
       w.sys->enable_counter_rng();
-      // 32 comfortably covers the monitor's N* = 15 measurement
-      // episodes; raw history is pure observability in this run, so the
-      // cap is sized for cache footprint (32 * 96 B = 3 KiB per live
-      // process).
-      w.sys->enable_bounded_history(32);
     }
     w.engine = std::make_unique<core::ValkyrieEngine>(*w.sys, d, 1);
     for (std::size_t p = 0; p < processes; ++p) {
@@ -1670,7 +1664,7 @@ int main(int argc, char** argv) {
   json += "\n  ],\n  \"sim_fast\": [\n";
 
   // The sim-floor A/B: stock system vs the bit-exact perf configuration
-  // (plane fold + counter RNG + bounded ring) vs perf + the fast inference
+  // (plane fold + counter RNG) vs perf + the fast inference
   // tier, single-thread so the per-process floor is what's timed.
   {
     std::vector<std::size_t> fast_procs = {1024, 4096};

@@ -16,10 +16,11 @@ ml::LabeledTrace collect_trace(std::unique_ptr<sim::Workload> workload,
 
   sim::SimSystem sys(platform, seed);
   const sim::ProcessId pid = sys.spawn(std::move(workload));
+  // The system keeps only a ring of recent samples: record every epoch's.
   for (std::size_t i = 0; i < epochs && sys.is_live(pid); ++i) {
     sys.run_epoch();
+    trace.samples.push_back(sys.last_sample(pid));
   }
-  trace.samples = sys.sample_history(pid);
   return trace;
 }
 

@@ -648,7 +648,6 @@ std::size_t ValkyrieEngine::step() {
 }
 
 void ValkyrieEngine::run(std::size_t epochs) {
-  sys_.reserve_history(epochs);
   for (std::size_t i = 0; i < epochs; ++i) step();
 }
 
@@ -724,8 +723,10 @@ snapshot::EngineImage ValkyrieEngine::snapshot_state() const {
         att.has_terminal ? a.terminal_detector->state_hash() : 0;
     att.stream_malicious = a.stream.malicious_count();
     att.stream_counted = a.stream.counted();
+    att.stream_voted = a.stream.voted();
     att.terminal_malicious = a.terminal_stream.malicious_count();
     att.terminal_counted = a.terminal_stream.counted();
+    att.terminal_voted = a.terminal_stream.voted();
     // Canonicalize to the observable view (see AttachmentImage): whether a
     // kNone action was recorded is bookkeeping, so only a real action from
     // THIS step survives into the snapshot.
@@ -792,11 +793,21 @@ void ValkyrieEngine::restore_from(const snapshot::EngineImage& image,
                {},
                static_cast<ValkyrieMonitor::Action>(att.last_action),
                att.last_action_step};
+    // malicious <= voted <= counted, as StreamingInference keeps them.
+    if (att.stream_malicious > att.stream_voted ||
+        att.stream_voted > att.stream_counted ||
+        att.terminal_malicious > att.terminal_voted ||
+        att.terminal_voted > att.terminal_counted) {
+      throw SerialError(SerialError::Code::kMalformed,
+                        "restore: streaming vote counts inconsistent");
+    }
     a.stream.restore(static_cast<std::size_t>(att.stream_malicious),
-                     static_cast<std::size_t>(att.stream_counted));
+                     static_cast<std::size_t>(att.stream_counted),
+                     static_cast<std::size_t>(att.stream_voted));
     a.terminal_stream.restore(
         static_cast<std::size_t>(att.terminal_malicious),
-        static_cast<std::size_t>(att.terminal_counted));
+        static_cast<std::size_t>(att.terminal_counted),
+        static_cast<std::size_t>(att.terminal_voted));
     staged.push_back(std::move(a));
   }
   util::PidMap<std::uint32_t> index;

@@ -237,8 +237,9 @@ class ValkyrieEngine {
 
   /// Attaches a process with its own config and actuator. A process can be
   /// attached at most once at a time (re-attach after detach() starts a
-  /// fresh monitor; its streaming state catches up from the accumulated
-  /// window). Legal at any point of a run, including for a process whose
+  /// fresh monitor; its streaming state catches up over the retained
+  /// ring — see ml::StreamingInference). Legal at any point of a run,
+  /// including for a process whose
   /// mid-epoch admission is still pending — the monitor simply starts
   /// deciding from the process's first executed epoch on. If
   /// `terminal_detector` is non-null it provides the accumulated-window
@@ -272,8 +273,7 @@ class ValkyrieEngine {
   /// processes still live.
   std::size_t step();
 
-  /// Runs `epochs` steps, reserving history capacity up front so the run
-  /// is allocation-free in steady state.
+  /// Runs `epochs` steps.
   void run(std::size_t epochs);
 
   [[nodiscard]] const ValkyrieMonitor& monitor(sim::ProcessId pid) const;

@@ -1,5 +1,6 @@
 #include "ml/detector.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -103,26 +104,25 @@ Inference StreamingInference::infer(const Detector& detector,
   if (counted_ + 1 == summary.count) {
     // The common per-epoch step: exactly one new measurement.
     if (detector.measurement_vote(summary.newest)) ++malicious_;
+    ++voted_;
     counted_ = summary.count;
   } else if (counted_ < summary.count) {
-    // Attached mid-run (or several epochs elapsed between calls): fold the
-    // not-yet-counted measurements from the raw window. One-time cost.
-    // window_total()/window_at() read through the span pair, so a wrapped
-    // bounded-history ring catches up the same way an unbounded one does.
-    if (summary.window_total() < summary.count) {
-      return detector.infer(summary);  // raw window unavailable; fall back
-    }
+    // Attached mid-run (or several epochs elapsed between calls): vote the
+    // not-yet-counted measurements the raw window still retains. One-time
+    // cost; older ones left the ring and never enter the denominator.
+    // counted_ advances per vote, so a throw mid-walk leaves mark_observed
+    // exactly the measurements that were not voted.
+    const std::size_t first =  // the measurement at window_at(0)
+        summary.count - std::min(summary.window_total(), summary.count);
+    counted_ = std::max(counted_, first);
     hpc::FeatureVec f;
-    for (std::size_t i = counted_; i < summary.count; ++i) {
-      hpc::to_features(summary.window_at(i), f);
+    for (; counted_ < summary.count; ++counted_) {
+      hpc::to_features(summary.window_at(counted_ - first), f);
       if (detector.measurement_vote(f)) ++malicious_;
+      ++voted_;
     }
-    counted_ = summary.count;
   }
-  return static_cast<double>(malicious_) >
-                 *fraction * static_cast<double>(counted_)
-             ? Inference::kMalicious
-             : Inference::kBenign;
+  return verdict(*fraction);
 }
 
 std::vector<double> window_features(std::span<const hpc::HpcSample> window) {

@@ -42,6 +42,12 @@ namespace valkyrie::ml {
 /// instead of silently counting it as benign evidence.
 enum class Inference : std::uint8_t { kBenign, kMalicious, kInvalid };
 
+/// Raw samples SimSystem retains per process (a fixed ring) — the raw
+/// window every WindowSummary carries, and the most any detector reads:
+/// the LSTM's inference tail, the longest finite statistical vote window.
+/// Whole-run statistics come from the accumulator, which folds every sample.
+inline constexpr std::size_t kHistoryWindow = 64;
+
 /// Numeric tier a detector's kernels run at. kBitExact (the default,
 /// always) calls libm and keeps the repository-wide bit-reproducibility
 /// contract: batch == scalar == every previous release, across worker
@@ -101,8 +107,7 @@ struct SummaryMatrixView {
   /// WindowAccumulator::summary() with no window argument does).
   const std::span<const hpc::HpcSample>* windows = nullptr;
   /// Wrapped ring tails matching `windows` column for column (see
-  /// WindowSummary::window_wrap); null when the producer's histories are
-  /// unbounded (every wrap is then empty).
+  /// WindowSummary::window_wrap); null when `windows` is.
   const std::span<const hpc::HpcSample>* windows_wrap = nullptr;
   std::size_t count = 0;   ///< batch items (columns)
   std::size_t stride = 0;  ///< doubles between feature rows
@@ -143,8 +148,8 @@ class Detector {
 
   /// Incremental entry point: classifies from the streaming summary of the
   /// accumulated window. The default adapter forwards to the whole-window
-  /// overload via summary.window (linearizing the span pair first when the
-  /// producer's bounded ring has wrapped — see infer_wrapped); summary-
+  /// overload via the retained raw window (linearizing the span pair first
+  /// when the producer's ring has wrapped — see infer_wrapped); summary-
   /// capable detectors override this and never touch the raw measurements.
   [[nodiscard]] virtual Inference infer(const WindowSummary& summary) const {
     if (summary.window_wrap.empty()) return infer(summary.window);
@@ -220,8 +225,8 @@ class Detector {
  protected:
   /// Bridge for raw-window detectors handed a wrapped ring window: copies
   /// the span pair into one oldest-first buffer and classifies that. Costs
-  /// an allocation, paid only by legacy whole-window detectors under the
-  /// (opt-in) bounded-history mode; streaming detectors never get here.
+  /// an allocation, paid only by legacy whole-window detectors once a
+  /// process has outlived its ring; streaming detectors never get here.
   [[nodiscard]] Inference infer_wrapped(const WindowSummary& summary) const;
 };
 
@@ -234,8 +239,10 @@ class Detector {
 ///     detectors are O(1); legacy whole-window detectors fall back to the
 ///     raw window through the default adapter).
 ///
-/// Catches up from summary.window when attached to a process that already
-/// has history, and recounts after a shrink (episode reset).
+/// Catches up over the retained raw window when attached to a process that
+/// already has history, and recounts after a shrink (episode reset). Only
+/// the newest kHistoryWindow samples are retained, so the fraction compares
+/// against the measurements actually voted (voted()), not the whole count.
 ///
 /// One instance serves exactly one (process, detector) pair: progress is
 /// tracked by measurement count alone, so pointing an instance at a
@@ -260,17 +267,12 @@ class StreamingInference {
   [[nodiscard]] Inference fold_vote(bool malicious_vote, std::size_t count,
                                     double fraction) noexcept {
     if (malicious_vote) ++malicious_;
+    ++voted_;
     counted_ = count;
-    return static_cast<double>(malicious_) >
-                   fraction * static_cast<double>(counted_)
-               ? Inference::kMalicious
-               : Inference::kBenign;
+    return verdict(fraction);
   }
 
-  void reset() noexcept {
-    malicious_ = 0;
-    counted_ = 0;
-  }
+  void reset() noexcept { *this = {}; }
 
   /// Marks `count` measurements as observed WITHOUT folding any votes —
   /// the containment hook for a detector that threw mid-scoring. The
@@ -279,22 +281,38 @@ class StreamingInference {
   /// a deterministic per-measurement fault would otherwise re-throw on the
   /// same feature bits every epoch forever. No-op when already caught up.
   void mark_observed(std::size_t count) noexcept {
-    if (count > counted_) counted_ = count;
+    if (count > counted_) {
+      voted_ += count - counted_;
+      counted_ = count;
+    }
   }
 
-  /// Running vote counts, for snapshot/restore.
+  /// Running vote counts, for snapshot/restore: malicious votes, the
+  /// measurement count caught up to, and the measurements voted (the
+  /// fraction's denominator; less than counted() after a late attach).
   [[nodiscard]] std::size_t malicious_count() const noexcept {
     return malicious_;
   }
   [[nodiscard]] std::size_t counted() const noexcept { return counted_; }
-  void restore(std::size_t malicious, std::size_t counted) noexcept {
+  [[nodiscard]] std::size_t voted() const noexcept { return voted_; }
+  void restore(std::size_t malicious, std::size_t counted,
+               std::size_t voted) noexcept {
     malicious_ = malicious;
     counted_ = counted;
+    voted_ = voted;
   }
 
  private:
+  [[nodiscard]] Inference verdict(double fraction) const noexcept {
+    return static_cast<double>(malicious_) >
+                   fraction * static_cast<double>(voted_)
+               ? Inference::kMalicious
+               : Inference::kBenign;
+  }
+
   std::size_t malicious_ = 0;
   std::size_t counted_ = 0;
+  std::size_t voted_ = 0;
 };
 
 /// Aggregate feature vector for whole-window models (the ANNs): per-event

@@ -10,7 +10,17 @@
 namespace valkyrie::ml {
 
 StatisticalDetector::StatisticalDetector(StatDetectorConfig config)
-    : config_(config) {}
+    : config_(config) {
+  set_vote_window(config.vote_window);
+}
+
+void StatisticalDetector::set_vote_window(std::size_t window) {
+  if (window != kWholeWindow && window > kHistoryWindow) {
+    throw std::invalid_argument(
+        "StatisticalDetector: vote_window longer than the retained history");
+  }
+  config_.vote_window = window;
+}
 
 namespace {
 
@@ -325,18 +335,9 @@ void StatisticalDetector::infer_batch(const SummaryMatrixView& batch,
 
 Inference StatisticalDetector::infer(
     std::span<const hpc::HpcSample> window) const {
-  if (window.empty()) return Inference::kBenign;
-  const std::size_t take = std::min(config_.vote_window, window.size());
-  std::size_t malicious_votes = 0;
-  hpc::FeatureVec f;
-  for (std::size_t i = 0; i < take; ++i) {
-    hpc::to_features(window[window.size() - 1 - i], f);
-    if (score(f) > config_.threshold) ++malicious_votes;
-  }
-  return static_cast<double>(malicious_votes) >
-                 config_.vote_fraction * static_cast<double>(take)
-             ? Inference::kMalicious
-             : Inference::kBenign;
+  WindowSummary summary;
+  summary.window = window;
+  return vote_recent(summary);
 }
 
 Inference StatisticalDetector::infer(const WindowSummary& summary) const {
@@ -347,9 +348,12 @@ Inference StatisticalDetector::infer(const WindowSummary& summary) const {
                            config_.vote_fraction < 1.0;
     return malicious ? Inference::kMalicious : Inference::kBenign;
   }
-  if (summary.window_wrap.empty()) return infer(summary.window);
-  // Wrapped bounded-history ring: same newest-first vote walk as
-  // infer(span), reading logical positions through the span pair.
+  return vote_recent(summary);
+}
+
+Inference StatisticalDetector::vote_recent(const WindowSummary& summary) const {
+  // Newest-first walk over logical positions, through a wrapped ring's
+  // span pair too. An empty window votes nothing and stays benign.
   const std::size_t total = summary.window_total();
   const std::size_t take = std::min(config_.vote_window, total);
   std::size_t malicious_votes = 0;

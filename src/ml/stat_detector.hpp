@@ -27,6 +27,8 @@ struct StatDetectorConfig {
   double threshold = 0.0;
   /// Number of most recent measurements to vote over (1 = newest only,
   /// which is what lets falsely-flagged benign processes recover quickly).
+  /// A finite window may not exceed kHistoryWindow, the raw samples a
+  /// producer retains; kWholeWindow votes with running counts instead.
   std::size_t vote_window = 1;
   /// Attack-signature clusters: the malicious population is multi-modal
   /// (cache spies, hammers, miners, lockers), so the signature library is
@@ -46,6 +48,8 @@ struct StatDetectorConfig {
 
 class StatisticalDetector final : public Detector {
  public:
+  /// Throws std::invalid_argument for a finite config.vote_window longer
+  /// than kHistoryWindow.
   explicit StatisticalDetector(StatDetectorConfig config = {});
 
   /// Learns the benign feature distribution, and — when malicious examples
@@ -124,9 +128,9 @@ class StatisticalDetector final : public Detector {
   void set_tier(InferenceTier tier) noexcept { tier_ = tier; }
   [[nodiscard]] InferenceTier tier() const noexcept { return tier_; }
   void set_threshold(double threshold) noexcept { config_.threshold = threshold; }
-  void set_vote_window(std::size_t window) noexcept {
-    config_.vote_window = window;
-  }
+  /// Throws std::invalid_argument for a finite window longer than
+  /// kHistoryWindow (the constructor applies the same check).
+  void set_vote_window(std::size_t window);
 
   /// A copy of this detector that majority-votes over the *entire*
   /// accumulated window — the high-efficacy view used for the terminable
@@ -139,6 +143,9 @@ class StatisticalDetector final : public Detector {
   }
 
  private:
+  /// Majority vote over the newest vote_window retained measurements.
+  [[nodiscard]] Inference vote_recent(const WindowSummary& summary) const;
+
   struct Gaussian {
     std::vector<double> mean;
     std::vector<double> stddev;

@@ -45,15 +45,16 @@ struct WindowSummary {
   /// Bit f set = feature f of `newest` is a last-known-stat substitution
   /// (the counter was quarantined this epoch), not a live measurement.
   std::uint32_t stale_mask = 0;
-  /// The raw accumulated window, oldest first. May be empty for callers
-  /// that only stream; the default Detector adapter needs it.
+  /// The raw retained window, oldest first (SimSystem retains the newest
+  /// kHistoryWindow, so window_total() may be less than count). May be
+  /// empty for callers that only stream; the default Detector adapter
+  /// needs it.
   std::span<const hpc::HpcSample> window{};
-  /// Wrapped tail of a bounded ring history: producers that keep the window
-  /// in a fixed-capacity ring expose the logical window as the span pair
+  /// Wrapped tail of a ring history: producers that keep the window in a
+  /// fixed-capacity ring expose the logical window as the span pair
   /// [window..., window_wrap...] — `window` is the older (post-head) run,
-  /// `window_wrap` the recycled front, newest measurement last. Always
-  /// empty for unbounded histories, so single-span consumers see exactly
-  /// the pre-ring view; windowed consumers read through window_at().
+  /// `window_wrap` the recycled front, newest measurement last. Empty until
+  /// the ring wraps; windowed consumers read through window_at().
   std::span<const hpc::HpcSample> window_wrap{};
 
   /// Measurements in the logical window (both spans).

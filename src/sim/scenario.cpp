@@ -265,12 +265,13 @@ std::size_t ScenarioDriver::step() {
 
   // Boundary departures due this epoch (scheduled kills). A pid the
   // response already terminated or that completed early is simply gone —
-  // kill() is a no-op on the dead.
+  // and under the retention policy possibly reclaimed, so it is no longer
+  // tracked at all.
   while (!departures_.empty() && departures_.front().epoch <= now) {
     std::pop_heap(departures_.begin(), departures_.end(), departs_later);
     const Departure due = departures_.back();
     departures_.pop_back();
-    if (sys_.is_live(due.pid)) {
+    if (sys_.is_tracked(due.pid) && sys_.is_live(due.pid)) {
       sys_.kill(due.pid);
       if (engine_.is_attached(due.pid)) engine_.detach(due.pid);
       ++stats_.driver_kills;
@@ -342,7 +343,6 @@ void ScenarioDriver::run(std::size_t epochs) {
   sys_.reserve(expected);
   engine_.reserve(expected);
   reserve(expected);
-  sys_.reserve_history(epochs);
   for (std::size_t i = 0; i < epochs; ++i) step();
 }
 

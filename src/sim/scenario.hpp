@@ -167,8 +167,8 @@ class ScenarioDriver {
   /// Returns the live process count after the epoch.
   std::size_t step();
 
-  /// Runs `epochs` steps, pre-reserving system/engine tables and history
-  /// capacity for the expected population first.
+  /// Runs `epochs` steps, pre-reserving system/engine tables for the
+  /// expected population first.
   void run(std::size_t epochs);
 
   /// Pre-sizes the driver's own bookkeeping (exit-census snapshot,

@@ -341,44 +341,9 @@ void SimSystem::enable_counter_rng() {
   for (util::Rng& r : rng_s_) r = util::Rng::counter_stream(r());
 }
 
-void SimSystem::enable_bounded_history(std::size_t capacity) {
-  if (epoch_open_) {
-    throw std::logic_error("SimSystem::enable_bounded_history: epoch open");
-  }
-  if (capacity == 0) {
-    throw std::invalid_argument(
-        "SimSystem::enable_bounded_history: zero capacity");
-  }
-  for (const ColdProc& cold : cold_) {
-    if (cold.history.size() > capacity) {
-      throw std::logic_error(
-          "SimSystem::enable_bounded_history: an existing history already "
-          "exceeds the capacity");
-    }
-  }
-  // Every history is a straight oldest-first buffer here (heads are 0), so
-  // an exactly-full one starts overwriting at index 0 — its oldest sample.
-  history_cap_ = capacity;
-}
-
-void SimSystem::history_spans(const ColdProc& cold,
-                              std::span<const hpc::HpcSample>& older,
-                              std::span<const hpc::HpcSample>& wrap) const {
-  if (history_cap_ != 0 && cold.history.size() == history_cap_ &&
-      cold.head != 0) {
-    older = {cold.history.data() + cold.head, history_cap_ - cold.head};
-    wrap = {cold.history.data(), cold.head};
-  } else {
-    older = {cold.history.data(), cold.history.size()};
-    wrap = {};
-  }
-}
-
-SimSystem::HistoryView SimSystem::history_view(ProcessId pid) const {
-  const PidRec rec = rec_checked(pid);
-  HistoryView view;
-  history_spans(cold_[rec.row], view.older, view.newer);
-  return view;
+SimSystem::HistoryView SimSystem::ring_view(const ColdProc& cold) noexcept {
+  return {{cold.history.data() + cold.head, cold.history.size() - cold.head},
+          {cold.history.data(), cold.head}};
 }
 
 SimSystem::PidRec SimSystem::rec_checked(ProcessId pid) const {
@@ -461,10 +426,10 @@ bool SimSystem::step_slot(std::size_t slot) {
   } else {
     invalid_streak_s_[slot] = 0;
     last_sample_s_[slot] = step.hpc;
-    if (history_cap_ != 0 && cold.history.size() == history_cap_) {
-      // Bounded ring: overwrite the oldest retained sample in place.
+    if (cold.history.size() == ml::kHistoryWindow) {
+      // Full ring: overwrite the oldest retained sample in place.
       cold.history[cold.head] = step.hpc;
-      cold.head = cold.head + 1 == history_cap_ ? 0 : cold.head + 1;
+      cold.head = cold.head + 1 == ml::kHistoryWindow ? 0 : cold.head + 1;
     } else {
       cold.history.push_back(step.hpc);
     }
@@ -519,7 +484,9 @@ bool SimSystem::step_slot(std::size_t slot) {
     // Fold mode leaves the count to fold_plane_range (a quarantined epoch
     // stages nothing, so the count correctly stands still).
     if (plane_windows_) {
-      history_spans(cold, plane_window_[slot], plane_window_wrap_[slot]);
+      const HistoryView ring = ring_view(cold);
+      plane_window_[slot] = ring.older;
+      plane_window_wrap_[slot] = ring.newer;
     }
   }
   if (step.finished) {
@@ -734,17 +701,13 @@ void SimSystem::run_epoch() {
 }
 
 void SimSystem::run_epochs(std::size_t n) {
-  reserve_history(n);
   for (std::size_t i = 0; i < n; ++i) run_epoch();
 }
 
 void SimSystem::reserve_history(std::size_t epochs) {
   for (const std::uint32_t row : row_s_) {
     std::vector<hpc::HpcSample>& history = cold_[row].history;
-    std::size_t want = history.size() + epochs;
-    // A bounded ring never grows past its capacity.
-    if (history_cap_ != 0) want = std::min(want, history_cap_);
-    history.reserve(want);
+    history.reserve(std::min(history.size() + epochs, ml::kHistoryWindow));
   }
 }
 
@@ -1042,18 +1005,14 @@ const hpc::HpcSample& SimSystem::last_sample(ProcessId pid) const {
                                : cold_[rec.row].retired.last_sample;
 }
 
-const std::vector<hpc::HpcSample>& SimSystem::sample_history(
-    ProcessId pid) const {
-  const PidRec rec = rec_checked(pid);
-  return cold_[rec.row].history;
+SimSystem::HistoryView SimSystem::sample_history(ProcessId pid) const {
+  return ring_view(cold_[rec_checked(pid).row]);
 }
 
 ml::WindowSummary SimSystem::window_summary(ProcessId pid) const {
   const PidRec rec = rec_checked(pid);
   const std::uint32_t slot = rec.slot;
-  std::span<const hpc::HpcSample> older;
-  std::span<const hpc::HpcSample> wrap;
-  history_spans(cold_[rec.row], older, wrap);
+  const HistoryView ring = ring_view(cold_[rec.row]);
   if (fold_enabled_ && is_hot_slot(slot)) {
     // Fold mode assembles BY VALUE straight off the plane rows: no shared
     // accumulator refresh, so parallel engine shards can query their own
@@ -1071,12 +1030,12 @@ ml::WindowSummary SimSystem::window_summary(ProcessId pid) const {
         out.stddev[f] = col[(2 * hpc::kFeatureDim + f) * plane_stride_];
       }
     }
-    out.window = older;
-    out.window_wrap = wrap;
+    out.window = ring.older;
+    out.window_wrap = ring.newer;
     return out;
   }
-  ml::WindowSummary out = window_accumulator(pid).summary(older);
-  out.window_wrap = wrap;
+  ml::WindowSummary out = window_accumulator(pid).summary(ring.older);
+  out.window_wrap = ring.newer;
   return out;
 }
 
@@ -1136,17 +1095,13 @@ void SimSystem::capture_row(ProcessId pid, const PidRec& rec,
   }
   if (cold.history.empty()) {
     std::vector<hpc::HpcSample>().swap(proc.history);
-  } else if (history_cap_ != 0 && cold.history.size() == history_cap_ &&
-      cold.head != 0) {
-    // Linearize a wrapped ring oldest-first, so the image is layout-
-    // independent and a restored ring restarts with head 0 pointing at
-    // its (then-oldest) first element.
-    const auto head = static_cast<std::ptrdiff_t>(cold.head);
-    proc.history.assign(cold.history.begin() + head, cold.history.end());
-    proc.history.insert(proc.history.end(), cold.history.begin(),
-                        cold.history.begin() + head);
   } else {
-    proc.history.assign(cold.history.begin(), cold.history.end());
+    // Linearize the ring oldest-first, so the image is layout-independent
+    // and a restored ring restarts with head 0 at its oldest sample.
+    const HistoryView ring = ring_view(cold);
+    proc.history.assign(ring.older.begin(), ring.older.end());
+    proc.history.insert(proc.history.end(), ring.newer.begin(),
+                        ring.newer.end());
   }
   proc.retired_cgroup = cold.retired.cgroup;
   proc.retired_effective = cold.retired.effective;
@@ -1185,7 +1140,6 @@ snapshot::CaptureStats SimSystem::capture_into(
   image.retire_pending = retire_pending_;
   image.recycle_histories = recycle_histories_;
   image.counter_rng = counter_rng_;
-  image.history_capacity = history_cap_;
   image.total_spawned = next_pid_;
   image.retention_enabled = retention_enabled_;
   image.retention_epochs = retention_epochs_;
@@ -1258,7 +1212,7 @@ snapshot::CaptureStats SimSystem::capture_into(
       const ColdProc& cold = cold_[rec.row];
       // A full ring overwrites its oldest samples in place.
       const bool appended_only =
-          (history_cap_ == 0 || cold.history.size() < history_cap_) &&
+          cold.history.size() < ml::kHistoryWindow &&
           proc.history.size() <= cold.history.size();
       if (unwritten && was_live && live && appended_only) {
         proc.slot = rec.slot;
@@ -1367,12 +1321,10 @@ void SimSystem::restore_from(const snapshot::SystemImage& image,
                         "restore: scheduler entry inconsistent with its row");
     }
   }
-  if (image.history_capacity != 0) {
-    for (const snapshot::ProcImage& proc : image.procs) {
-      if (proc.history.size() > image.history_capacity) {
-        throw SerialError(SerialError::Code::kMalformed,
-                          "restore: history exceeds its bounded capacity");
-      }
+  for (const snapshot::ProcImage& proc : image.procs) {
+    if (proc.history.size() > ml::kHistoryWindow) {
+      throw SerialError(SerialError::Code::kMalformed,
+                        "restore: history longer than the ring");
     }
   }
   // Rows are ascending-pid (just checked), so pid -> row index resolves by
@@ -1467,7 +1419,6 @@ void SimSystem::restore_from(const snapshot::SystemImage& image,
   // into a counter-mode system — or vice versa — replays faithfully.
   counter_rng_ = image.counter_rng;
   rng_.set_counter_mode(counter_rng_);
-  history_cap_ = image.history_capacity;
   epoch_ = image.epoch;
   retire_pending_ = image.retire_pending;
   recycle_histories_ = image.recycle_histories;

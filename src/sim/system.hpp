@@ -8,12 +8,12 @@
 // arrays indexed by *live slot* (rng, cgroup caps, effective shares, last
 // sample, window accumulator, last progress, epoch count, exit flag), kept
 // compact by a stable compaction pass whenever a process exits. Cold state
-// (the workload object, the growing sample history, and a snapshot of the
-// hot fields taken when the process retires) sits in separate pooled rows
-// so it never pollutes the hot stride. A robin-hood pid map
-// (util::PidMap<PidRec>: pid -> {slot, cold row}) makes every pid-addressed
-// accessor O(1) while the epoch loop walks slots 0..live-1 with unit
-// stride — and, unlike the dense pid-indexed remap it replaces, its memory
+// (the workload object, a ring of the newest ml::kHistoryWindow samples,
+// and a snapshot of the hot fields taken when the process retires) sits in
+// separate pooled rows so it never pollutes the hot stride. A robin-hood
+// pid map (util::PidMap<PidRec>: pid -> {slot, cold row}) makes every
+// pid-addressed accessor O(1) while the epoch loop walks slots 0..live-1
+// with unit stride — and, unlike the dense pid-indexed remap it replaces, its memory
 // is O(tracked processes), not O(every pid ever spawned): under churn with
 // the retention policy armed (enable_retirement_retention) a 10M-spawn run
 // holding thousands live keeps a thousands-sized table forever.
@@ -146,14 +146,12 @@ class SimSystem {
   /// count.
   void run_epoch();
 
-  /// Runs `n` epochs. Reserves history capacity for all `n` up front, so
-  /// multi-epoch drivers are allocation-free without remembering to call
-  /// reserve_history themselves.
+  /// Runs `n` epochs.
   void run_epochs(std::size_t n);
 
-  /// Pre-reserves capacity for `epochs` further samples in every live
-  /// process's history, so the per-epoch hot path performs no heap
-  /// allocation until the reservation is exhausted.
+  /// Pre-reserves room for `epochs` further samples (never beyond the
+  /// ring) in every live process's history, so the hot path allocates
+  /// nothing while the rings fill; unreserved rings grow by push_back.
   void reserve_history(std::size_t epochs);
 
   // --- Epoch-phase driver API -----------------------------------------------
@@ -308,38 +306,29 @@ class SimSystem {
     return counter_rng_;
   }
 
-  // --- Bounded ring histories -----------------------------------------------
+  // --- Sample history --------------------------------------------------------
 
-  /// Caps every process's sample history at `capacity` samples, kept in a
-  /// fixed-size ring: once full, the oldest sample is overwritten in place,
-  /// so multi-thousand-epoch runs stop growing memory linearly. Consumers
-  /// see the logical window as a span pair (WindowSummary::window /
-  /// window_wrap, oldest first); sample_history() keeps returning the raw
-  /// buffer, whose order is the ring's once wrapped. Streaming statistics
-  /// are unaffected (the accumulator folds every sample regardless of what
-  /// the ring retains). Throws if an epoch is open, capacity is zero, or a
-  /// process's history already exceeds the capacity.
-  void enable_bounded_history(std::size_t capacity);
-
-  [[nodiscard]] std::size_t history_capacity() const noexcept {
-    return history_cap_;
-  }
-
-  /// Ordered view of one process's retained samples: `older` then `newer`
-  /// is oldest-first (`newer` is empty until the ring wraps, so unbounded
-  /// histories read as a single span).
+  /// Ordered view of one process's retained samples — the newest
+  /// ml::kHistoryWindow at most, kept in a fixed ring: `older` then `newer`
+  /// is oldest-first (`newer` is empty until the ring wraps).
   struct HistoryView {
     std::span<const hpc::HpcSample> older{};
     std::span<const hpc::HpcSample> newer{};
     [[nodiscard]] std::size_t size() const noexcept {
       return older.size() + newer.size();
     }
+    [[nodiscard]] bool empty() const noexcept { return size() == 0; }
     [[nodiscard]] const hpc::HpcSample& operator[](
         std::size_t i) const noexcept {
       return i < older.size() ? older[i] : newer[i - older.size()];
     }
+    /// The retained samples copied out, oldest first.
+    [[nodiscard]] std::vector<hpc::HpcSample> to_vector() const {
+      std::vector<hpc::HpcSample> out(older.begin(), older.end());
+      out.insert(out.end(), newer.begin(), newer.end());
+      return out;
+    }
   };
-  [[nodiscard]] HistoryView history_view(ProcessId pid) const;
 
   // --- Sensor fault plane ----------------------------------------------------
   //
@@ -451,6 +440,12 @@ class SimSystem {
   }
   [[nodiscard]] CfsScheduler& scheduler() noexcept { return scheduler_; }
 
+  /// False for a pid never spawned or already reclaimed by the retention
+  /// policy — the one pid-addressed query that never throws.
+  [[nodiscard]] bool is_tracked(ProcessId pid) const noexcept {
+    return pid_map_.find(pid) != nullptr;
+  }
+
   /// False for retired processes AND for processes whose mid-epoch
   /// admission has not committed yet (they become live at the boundary).
   [[nodiscard]] bool is_live(ProcessId pid) const;
@@ -469,16 +464,17 @@ class SimSystem {
   /// Most recent HPC sample (empty sample before the first epoch).
   [[nodiscard]] const hpc::HpcSample& last_sample(ProcessId pid) const;
 
-  /// All samples captured so far, oldest first. Empty for a retired pid
-  /// whose buffer was reclaimed by the retirement pool.
-  [[nodiscard]] const std::vector<hpc::HpcSample>& sample_history(
-      ProcessId pid) const;
+  /// The retained samples (the newest ml::kHistoryWindow), oldest first;
+  /// callers that need every sample record last_sample() each epoch. Empty
+  /// for a retired pid whose buffer the retirement pool reclaimed. Valid
+  /// until the process's next sample.
+  [[nodiscard]] HistoryView sample_history(ProcessId pid) const;
 
   /// Streaming statistics over the process's accumulated window, maintained
   /// in O(kFeatureDim) per epoch alongside the history (so per-epoch
   /// inference never re-derives features from the full window). The
-  /// returned summary carries the raw window span for detectors that still
-  /// need it.
+  /// returned summary carries the retained ring as its raw window span pair
+  /// for detectors that still need it.
   [[nodiscard]] ml::WindowSummary window_summary(ProcessId pid) const;
 
   /// The accumulator itself (for callers that only want the running stats).
@@ -515,8 +511,8 @@ class SimSystem {
   /// refreshed in place instead of rebuilt: a row that was retired then and
   /// has not been written since is left untouched, and a live row
   /// re-serializes its workload and appends the samples its image lacks (a
-  /// full bounded ring is copied whole, since wrapping overwrites its
-  /// oldest samples in place). Either way the result is exactly what a
+  /// full ring is copied whole, since wrapping overwrites its oldest
+  /// samples in place). Either way the result is exactly what a
   /// capture into an empty image produces.
   /// Throws std::logic_error while an epoch is open (snapshots are
   /// epoch-consistent by construction) and
@@ -578,9 +574,9 @@ class SimSystem {
   struct ColdProc {
     std::unique_ptr<Workload> workload;
     std::vector<hpc::HpcSample> history;
-    /// Ring write position under bounded histories: once the buffer holds
-    /// history_cap_ samples, the next sample overwrites history[head] (the
-    /// oldest). Always 0 while unbounded or still filling.
+    /// Ring write position: once the buffer holds ml::kHistoryWindow
+    /// samples, the next sample overwrites history[head] (the oldest).
+    /// Always 0 while the ring is still filling, so head != 0 means wrapped.
     std::size_t head = 0;
     RetiredState retired{};
   };
@@ -656,11 +652,9 @@ class SimSystem {
   /// handoff from scalar state to the plane-authoritative representation.
   void scatter_accums_to_plane();
 
-  /// The process's retained window as the oldest-first span pair (wrap
-  /// empty until a bounded ring actually wraps).
-  void history_spans(const ColdProc& cold,
-                     std::span<const hpc::HpcSample>& older,
-                     std::span<const hpc::HpcSample>& wrap) const;
+  /// A row's ring as the oldest-first span pair: head != 0 only once the
+  /// ring has wrapped, and [head, end) is then the older run.
+  [[nodiscard]] static HistoryView ring_view(const ColdProc& cold) noexcept;
 
   /// Applies the armed fault plane's scheduled sensor fault for
   /// (current epoch, slot's pid) to `sample` in place, then validates the
@@ -736,7 +730,7 @@ class SimSystem {
   std::vector<std::size_t> plane_count_;  // per-slot measurement count
   std::vector<std::span<const hpc::HpcSample>> plane_window_;  // raw windows
   // Wrapped ring tails matching plane_window_ column for column (empty
-  // spans while histories are unbounded or still filling).
+  // spans while a ring is still filling).
   std::vector<std::span<const hpc::HpcSample>> plane_window_wrap_;
 
   // --- Plane-major fold state (see enable_plane_major_fold) ----------------
@@ -747,9 +741,8 @@ class SimSystem {
   // 1 = the slot staged a sample this epoch and awaits the cross-slot fold.
   std::vector<std::uint8_t> fold_pending_;
 
-  // --- Counter RNG / bounded history (see the enable_* docs) ---------------
+  // --- Counter RNG (see enable_counter_rng) --------------------------------
   bool counter_rng_ = false;
-  std::size_t history_cap_ = 0;  // 0 = unbounded
 
   // --- Open-epoch state -----------------------------------------------------
   double epoch_total_weight_ = 0.0;

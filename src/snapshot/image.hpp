@@ -58,11 +58,12 @@ struct SlotImage {
   std::array<std::uint32_t, hpc::kFeatureDim> feature_streak{};
 };
 
-/// One TRACKED pid's cold row: the workload object, the accumulated sample
-/// history, and the retirement snapshot the pid-addressed observers answer
-/// from after the slot is recycled. v5: rows are KEYED by pid and emitted
-/// in ascending-pid order — sparse, so a churn run's reclaimed pids simply
-/// have no row, and the image is O(tracked), not O(total-pids-ever).
+/// One TRACKED pid's cold row: the workload object, the retained sample
+/// ring (oldest first), and the retirement snapshot the pid-addressed
+/// observers answer from after the slot is recycled. v5: rows are KEYED by
+/// pid and emitted in ascending-pid order — sparse, so a churn run's
+/// reclaimed pids simply have no row, and the image is O(tracked), not
+/// O(total-pids-ever).
 struct ProcImage {
   /// The pid this row belongs to (v5; pre-v5 images were pid-dense and
   /// positional).
@@ -105,11 +106,6 @@ struct SystemImage {
   /// only state; the KIND must travel too, or a restored counter-mode run
   /// would replay through xoshiro scrambles and diverge.
   bool counter_rng = false;
-  /// Bounded-history ring capacity, 0 = unbounded (v4). Histories are
-  /// always serialized linearized oldest-first, so this is the only ring
-  /// state the image needs (restored heads start at 0).
-  std::uint64_t history_capacity = 0;
-
   /// Total pids ever allocated (v5): the restore target's next spawn gets
   /// pid total_spawned. Decoupled from procs.size() now that reclaimed
   /// rows leave the image entirely.
@@ -177,10 +173,14 @@ struct AttachmentImage {
   MonitorImage monitor;
   bool has_terminal = false;
   std::uint64_t terminal_hash = 0;  // terminal detector fingerprint
+  /// StreamingInference running counts (malicious votes, measurements
+  /// caught up to, measurements voted — v6), per-epoch and terminal.
   std::uint64_t stream_malicious = 0;
   std::uint64_t stream_counted = 0;
+  std::uint64_t stream_voted = 0;
   std::uint64_t terminal_malicious = 0;
   std::uint64_t terminal_counted = 0;
+  std::uint64_t terminal_voted = 0;
   /// The OBSERVABLE action view, canonicalized at capture: the raw
   /// (last_action, last_action_step) pair differs for epochs where nothing
   /// happened (a live slot records kNone, a dead one skips the write), so
@@ -245,7 +245,7 @@ struct DriverImage {
 
 /// A complete decoded snapshot.
 struct SnapshotImage {
-  std::uint32_t version = 5;
+  std::uint32_t version = 6;
   SystemImage system;
   EngineImage engine;
   bool has_driver = false;

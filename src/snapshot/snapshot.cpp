@@ -29,11 +29,14 @@ constexpr std::array<std::uint8_t, 8> kMagic = {'V', 'L', 'K', 'Y',
 // {pid, factor} entries) and adds total_spawned plus the retirement-
 // retention state (policy flags + pending reclamation queue) — a v4
 // image's dense positional tables cannot represent a run whose reclaimed
-// pids have no row at all.
+// pids have no row at all. v6 drops the ring capacity (every history is a
+// fixed ml::kHistoryWindow ring now) and adds each attachment's voted
+// counts (the vote denominators, which a late attach over a ring makes
+// smaller than the counted measurements).
 // Older snapshots are refused rather than defaulted: the restore contract
 // is bit-replay, and an older capture cannot promise the newer fields were
 // all zero at capture time.
-constexpr std::uint32_t kVersion = 5;
+constexpr std::uint32_t kVersion = 6;
 
 constexpr std::uint32_t fourcc(char a, char b, char c, char d) noexcept {
   return static_cast<std::uint32_t>(static_cast<unsigned char>(a)) |
@@ -53,7 +56,7 @@ constexpr std::uint32_t kDrvSection = fourcc('D', 'R', 'V', ' ');
 static_assert(sizeof(hpc::HpcSample) == hpc::kNumEvents * sizeof(double));
 static_assert(sizeof(sim::ResourceShares) == 4 * sizeof(double));
 
-// Fixed wire sizes (bytes) of the v5 record groups; encoded_size() sums
+// Fixed wire sizes (bytes) of the record groups; encoded_size() sums
 // them so encode() allocates its output once.
 constexpr std::size_t kRngBytes = 4 * 8;
 constexpr std::size_t kSharesBytes = sizeof(sim::ResourceShares);
@@ -68,7 +71,7 @@ constexpr std::size_t kProcFixedBytes = 4 + 4 + 8 /* history count */ +
                                         2 * kSharesBytes + kSampleBytes +
                                         kAccumBytes + 8 + 8 + 1;
 constexpr std::size_t kAttachmentFixedBytes = 4 + 8 + 1 + 1 + 3 * 8 + 1 + 8 +
-                                              1 + 1 + 5 * 8 + 1 + 8;
+                                              1 + 1 + 7 * 8 + 1 + 8;
 constexpr std::size_t kRetryBytes = 4 + 1 + 8 + 4 + 8;
 constexpr std::size_t kSectionFramingBytes = 4 + 8 + 4;  // tag, length, CRC
 
@@ -167,7 +170,6 @@ void encode_system(ByteWriter& out, const SystemImage& sys) {
   out.boolean(sys.retire_pending);
   out.boolean(sys.recycle_histories);
   out.boolean(sys.counter_rng);     // v4
-  out.u64(sys.history_capacity);    // v4
   out.u64(sys.total_spawned);       // v5
   out.boolean(sys.retention_enabled);  // v5
   out.u64(sys.retention_epochs);       // v5
@@ -230,7 +232,6 @@ SystemImage decode_system(ByteReader& in) {
   sys.retire_pending = in.boolean();
   sys.recycle_histories = in.boolean();
   sys.counter_rng = in.boolean();
-  sys.history_capacity = in.u64();
   sys.total_spawned = in.u64();
   sys.retention_enabled = in.boolean();
   sys.retention_epochs = in.u64();
@@ -314,8 +315,10 @@ void encode_engine(ByteWriter& out, const EngineImage& engine) {
     out.u64(att.terminal_hash);
     out.u64(att.stream_malicious);
     out.u64(att.stream_counted);
+    out.u64(att.stream_voted);  // v6
     out.u64(att.terminal_malicious);
     out.u64(att.terminal_counted);
+    out.u64(att.terminal_voted);  // v6
     out.u8(att.last_action);
     out.u64(att.last_action_step);
   }
@@ -352,8 +355,10 @@ EngineImage decode_engine(ByteReader& in) {
     att.terminal_hash = in.u64();
     att.stream_malicious = in.u64();
     att.stream_counted = in.u64();
+    att.stream_voted = in.u64();
     att.terminal_malicious = in.u64();
     att.terminal_counted = in.u64();
+    att.terminal_voted = in.u64();
     att.last_action = in.u8();
     att.last_action_step = in.u64();
     engine.attachments.push_back(std::move(att));
@@ -431,11 +436,11 @@ DriverImage decode_driver(ByteReader& in) {
 // --- Output sizing -----------------------------------------------------------
 
 std::size_t system_bytes(const SystemImage& sys) {
-  std::size_t n = 8 * 8 + kRngBytes + 8 + 3 + 8 + 8 + 1 + 8 +  // scalars
-                  8 + sys.retire_queue.size() * (4 + 8) +       // queue
-                  8 + sys.slots.size() * kSlotBytes +           // slots
-                  8 +                                           // procs count
-                  8 + sys.sched_entries.size() * (4 + 8);       // factors
+  std::size_t n = 8 * 8 + kRngBytes + 8 + 3 + 8 + 1 + 8 +  // scalars
+                  8 + sys.retire_queue.size() * (4 + 8) +   // queue
+                  8 + sys.slots.size() * kSlotBytes +       // slots
+                  8 +                                       // procs count
+                  8 + sys.sched_entries.size() * (4 + 8);   // factors
   for (const ProcImage& proc : sys.procs) {
     n += kProcFixedBytes + poly_bytes(proc.workload) +
          proc.history.size() * kSampleBytes;
@@ -771,7 +776,6 @@ std::vector<FieldDiff> diff(const SnapshotImage& a, const SnapshotImage& b) {
   d.u64("system.recycle_histories", sa.recycle_histories,
         sb.recycle_histories);
   d.u64("system.counter_rng", sa.counter_rng, sb.counter_rng);
-  d.u64("system.history_capacity", sa.history_capacity, sb.history_capacity);
   d.u64("system.total_spawned", sa.total_spawned, sb.total_spawned);
   d.u64("system.retention_enabled", sa.retention_enabled,
         sb.retention_enabled);
@@ -867,10 +871,12 @@ std::vector<FieldDiff> diff(const SnapshotImage& a, const SnapshotImage& b) {
     d.u64(path + ".stream_malicious", aa.stream_malicious,
           ab.stream_malicious);
     d.u64(path + ".stream_counted", aa.stream_counted, ab.stream_counted);
+    d.u64(path + ".stream_voted", aa.stream_voted, ab.stream_voted);
     d.u64(path + ".terminal_malicious", aa.terminal_malicious,
           ab.terminal_malicious);
     d.u64(path + ".terminal_counted", aa.terminal_counted,
           ab.terminal_counted);
+    d.u64(path + ".terminal_voted", aa.terminal_voted, ab.terminal_voted);
     d.u64(path + ".last_action", aa.last_action, ab.last_action);
     d.u64(path + ".last_action_step", aa.last_action_step,
           ab.last_action_step);

@@ -360,7 +360,7 @@ RunResult run(sim::SimSystem& sys, Driver& driver) {
     r.progress.push_back(sys.workload(pid).total_progress());
     r.sched_factors.push_back(sys.scheduler().weight_factor(pid));
     r.cpu_caps.push_back(sys.cgroup_caps(pid).cpu);
-    r.histories.push_back(sys.sample_history(pid));
+    r.histories.push_back(sys.sample_history(pid).to_vector());
   }
   return r;
 }

@@ -190,7 +190,7 @@ RunResult run_churn(sim::SimSystem& sys, Driver& engine) {
                                           sim::ExitReason::kRunning
                                   ? sys.scheduler().weight_factor(pid)
                                   : -1.0);
-    r.histories.push_back(sys.sample_history(pid));
+    r.histories.push_back(sys.sample_history(pid).to_vector());
     if (engine.is_attached(pid)) {
       r.threats.push_back(engine.monitor(pid).threat());
       r.measurements.push_back(engine.monitor(pid).measurements());
@@ -413,6 +413,33 @@ TEST(ChurnEngine, ScenarioDriverAnchorsDeparturesAtTheCurrentEpoch) {
   EXPECT_EQ(driver.stats().driver_kills, 0u)
       << "departures drawn at construction fired before their lifetimes";
   EXPECT_EQ(driver.stats().spawned, 16u);
+}
+
+TEST(ChurnEngine, ScenarioDriverSkipsDeparturesOfReclaimedPids) {
+  // Under the retention policy a process that dies before its scheduled
+  // departure is reclaimed a few epochs later; the departure must then be
+  // skipped, not looked up (a reclaimed pid answers out_of_range).
+  const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
+  sim::SimSystem sys;
+  sys.enable_retirement_retention(1);
+  ValkyrieEngine engine(sys, detector);
+  sim::ScenarioScript script;
+  script.seed = 0xfeed;
+  script.initial_processes = 16;
+  script.mean_lifetime = 20;
+  script.kill_exit_fraction = 1.0;  // every drawn exit is a scheduled kill
+  sim::ScenarioDriver driver(engine, script);
+  driver.step();
+  // Kill the whole population ahead of its departures, as a response would.
+  const std::vector<sim::ProcessId> live(sys.live_processes().begin(),
+                                         sys.live_processes().end());
+  ASSERT_EQ(live.size(), 16u);
+  for (const sim::ProcessId pid : live) sys.kill(pid);
+  for (int epoch = 0; epoch < 200; ++epoch) {
+    ASSERT_NO_THROW(driver.step()) << "epoch " << epoch;
+  }
+  EXPECT_EQ(driver.stats().driver_kills, 0u);
+  EXPECT_EQ(sys.tracked_processes(), 0u) << "every dead pid was reclaimed";
 }
 
 TEST(ChurnEngine, ScenarioDriverIsBitReproducibleAcrossWorkers) {

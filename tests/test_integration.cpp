@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "attacks/cryptominer.hpp"
 #include "attacks/ransomware.hpp"
@@ -14,6 +15,7 @@
 #include "core/valkyrie.hpp"
 #include "ml/stat_detector.hpp"
 #include "ml/svm.hpp"
+#include "sim/system.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace valkyrie {
@@ -57,6 +59,38 @@ ml::StatisticalDetector make_stat_detector(double target_fpr = 0.04) {
   detector.fit(examples);
   core::calibrate_stat_threshold(detector, examples, target_fpr);
   return detector;
+}
+
+TEST(Integration, CollectTraceKeepsEverySampleBeyondTheRing) {
+  // The system retains only kHistoryWindow samples per process; a training
+  // trace must still hold every epoch's sample, equal to a trace recorded
+  // by hand from a same-seeded system.
+  constexpr std::size_t kEpochs = 200;
+  workloads::BenchmarkSpec spec = workloads::spec2017_rate()[5];
+  spec.epochs_of_work = 1e9;  // outlives the trace
+  const ml::LabeledTrace trace = core::collect_trace(
+      std::make_unique<workloads::BenchmarkWorkload>(spec), kEpochs);
+  ASSERT_EQ(trace.samples.size(), kEpochs);
+  ASSERT_GT(kEpochs, ml::kHistoryWindow);
+
+  sim::SimSystem sys(sim::PlatformProfile{}, 0x77ace);
+  const sim::ProcessId pid =
+      sys.spawn(std::make_unique<workloads::BenchmarkWorkload>(spec));
+  std::vector<hpc::HpcSample> by_hand;
+  for (std::size_t e = 0; e < kEpochs; ++e) {
+    sys.run_epoch();
+    by_hand.push_back(sys.last_sample(pid));
+  }
+  for (std::size_t e = 0; e < kEpochs; ++e) {
+    EXPECT_EQ(trace.samples[e].counts, by_hand[e].counts) << "epoch " << e;
+  }
+  // The system's own ring holds the trace's suffix.
+  const sim::SimSystem::HistoryView ring = sys.sample_history(pid);
+  ASSERT_EQ(ring.size(), ml::kHistoryWindow);
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    EXPECT_EQ(ring[i].counts,
+              trace.samples[kEpochs - ml::kHistoryWindow + i].counts);
+  }
 }
 
 TEST(Integration, StatDetectorFlagsAttacksNotBenign) {

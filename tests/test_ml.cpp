@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "ml/dataset.hpp"
 #include "ml/detector.hpp"
@@ -198,6 +199,27 @@ TEST(StatDetector, NoBenignExamplesThrows) {
 TEST(StatDetector, EmptyWindowIsBenign) {
   StatisticalDetector det;
   EXPECT_EQ(det.infer(std::span<const hpc::HpcSample>{}), Inference::kBenign);
+}
+
+TEST(StatDetector, RejectsAFiniteVoteWindowLongerThanTheRing) {
+  // A finite raw window may not ask for more samples than a producer
+  // retains; newest-only and whole-window (running counts) stay legal.
+  StatDetectorConfig config;
+  for (const std::size_t legal :
+       {std::size_t{1}, kHistoryWindow, StatisticalDetector::kWholeWindow}) {
+    config.vote_window = legal;
+    EXPECT_NO_THROW(StatisticalDetector{config}) << legal;
+  }
+  config.vote_window = kHistoryWindow + 1;
+  EXPECT_THROW(StatisticalDetector{config}, std::invalid_argument);
+
+  StatisticalDetector det;
+  EXPECT_THROW(det.set_vote_window(kHistoryWindow + 1), std::invalid_argument);
+  EXPECT_EQ(det.config().vote_window, 1u) << "a rejected window is no-op";
+  det.set_vote_window(kHistoryWindow);
+  EXPECT_EQ(det.config().vote_window, kHistoryWindow);
+  det.set_vote_window(StatisticalDetector::kWholeWindow);
+  EXPECT_EQ(det.config().vote_window, StatisticalDetector::kWholeWindow);
 }
 
 // --- MLP ---------------------------------------------------------------------

@@ -162,7 +162,7 @@ RunResult run(sim::SimSystem& sys, Driver& driver) {
     r.progress.push_back(sys.workload(pid).total_progress());
     r.sched_factors.push_back(sys.scheduler().weight_factor(pid));
     r.cpu_caps.push_back(sys.cgroup_caps(pid).cpu);
-    r.histories.push_back(sys.sample_history(pid));
+    r.histories.push_back(sys.sample_history(pid).to_vector());
   }
   return r;
 }
@@ -268,7 +268,7 @@ TEST(ParallelSim, ShardedStepSlotsMatchSequentialBitForBit) {
     std::vector<std::vector<hpc::HpcSample>> histories;
     std::vector<double> shares;
     for (const sim::ProcessId pid : pids) {
-      histories.push_back(sys.sample_history(pid));
+      histories.push_back(sys.sample_history(pid).to_vector());
       shares.push_back(sys.effective_shares(pid).cpu);
     }
     return std::make_pair(histories, shares);

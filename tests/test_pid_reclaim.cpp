@@ -7,8 +7,9 @@
 //  - under churn, every per-process table (pid map, cold rows, scheduler
 //    factor table) is bounded by PEAK tracked population, never by total
 //    spawns — proven here with a >=1M-spawn soak holding ~1.5k live;
-//  - a mid-churn snapshot of a reclaiming system (sparse pid space) round
-//    trips byte-identically through format v5, and the restored world
+//  - a mid-churn snapshot of a reclaiming system (sparse pid space, with
+//    wrapped history rings) round trips byte-identically through format
+//    v6, and the restored world
 //    reclaims the same pids at the same boundaries as the original;
 //  - bytes claiming an older format version are refused with a typed
 //    kBadVersion, never undefined behaviour.
@@ -127,7 +128,6 @@ TEST(PidReclaim, ParkedWeightAnswersInsideWindowThenReclaims) {
 // capacity must stay pinned while thousands of pids march through.
 TEST(PidReclaim, SchedulerTableCapacityBoundedUnderChurn) {
   SimSystem sys;
-  sys.enable_bounded_history(8);
   sys.enable_history_recycling();
   sys.enable_retirement_retention(2);
   constexpr std::size_t kLive = 64;
@@ -166,7 +166,6 @@ TEST(PidReclaim, ChurnSoakMillionPidsBoundedCapacity) {
 
   SimSystem sys;
   sys.enable_counter_rng();
-  sys.enable_bounded_history(8);
   sys.enable_history_recycling();
   sys.enable_retirement_retention(kWindow);
   sys.reserve(kLive + kBatch * (kWindow + 2));
@@ -219,7 +218,7 @@ TEST(PidReclaim, ChurnSoakMillionPidsBoundedCapacity) {
   }
 }
 
-// --- Snapshot v5 under reclamation -----------------------------------------
+// --- Snapshot v6 under reclamation -----------------------------------------
 
 /// Spawns one snapshot-supported workload; pure function of system state
 /// (the ordinal is total_spawned()), so golden and restored worlds replay
@@ -232,14 +231,16 @@ void scripted_spawn(SimSystem& sys) {
   sys.spawn(std::make_unique<workloads::BenchmarkWorkload>(std::move(spec)));
 }
 
-/// The shared churn script, keyed only on epoch and system state.
+/// The shared churn script, keyed only on epoch and system state. With a
+/// spawn every 3 epochs and the oldest killed above 24 live, a process
+/// lives ~72 epochs: past its history ring's 64 samples.
 void drive(SimSystem& sys, std::size_t epochs) {
   for (std::size_t i = 0; i < epochs; ++i) {
     const std::uint64_t epoch = sys.current_epoch();
     if (epoch % 3 == 1) scripted_spawn(sys);
     if (epoch % 2 == 0) {
       const std::span<const ProcessId> live = sys.live_processes();
-      if (live.size() > 6) sys.kill(live.front());
+      if (live.size() > 24) sys.kill(live.front());
     }
     sys.run_epoch();
   }
@@ -253,23 +254,28 @@ std::vector<std::uint8_t> system_bytes(const snapshot::SystemImage& image) {
 
 TEST(PidReclaim, MidChurnSnapshotRoundTripWithSparsePids) {
   SimSystem golden;
-  golden.enable_bounded_history(8);
   golden.enable_history_recycling();
   golden.enable_retirement_retention(2);
   for (int i = 0; i < 8; ++i) scripted_spawn(golden);
-  drive(golden, 120);
+  drive(golden, 240);
 
   // The whole point of the fixture: reclamation has made the pid space
   // sparse, so the image's keyed rows are a strict subset of [0, spawned).
   ASSERT_GT(golden.total_spawned(), 40u);
   ASSERT_LT(golden.tracked_processes(), golden.total_spawned() / 2);
+  // ... and the oldest live processes have wrapped their history rings.
+  std::size_t wrapped = 0;
+  for (const ProcessId pid : golden.live_processes()) {
+    wrapped += !golden.sample_history(pid).newer.empty();
+  }
+  ASSERT_GT(wrapped, 0u);
 
   const snapshot::SystemImage image = golden.snapshot_state();
   const std::vector<std::uint8_t> bytes = system_bytes(image);
 
   // Byte path: encode -> parse -> restore into a fresh world.
   const snapshot::SnapshotImage parsed = snapshot::parse(bytes);
-  EXPECT_EQ(parsed.version, 5u);
+  EXPECT_EQ(parsed.version, 6u);
   SimSystem restored;
   restored.restore_from(parsed.system,
                         snapshot::WorkloadRegistry::bundled());
@@ -303,10 +309,10 @@ TEST(PidReclaim, OlderFormatVersionsAreRefusedTyped) {
   std::vector<std::uint8_t> bytes = system_bytes(sys.snapshot_state());
 
   // Byte 8 is the format version u32's LSB (little-endian, after the
-  // 8-byte magic, outside the CRC-protected sections). Every pre-v5
-  // revision must fail typed — a v4 reader's layout (dense rows, unkeyed
-  // factors) would misparse v5 payloads as garbage otherwise.
-  for (const std::uint8_t old_version : {0, 1, 2, 3, 4}) {
+  // 8-byte magic, outside the CRC-protected sections). Every pre-v6
+  // revision must fail typed — a v5 reader's layout (a ring capacity word,
+  // no vote denominators) would misparse v6 payloads as garbage otherwise.
+  for (const std::uint8_t old_version : {0, 1, 2, 3, 4, 5}) {
     std::vector<std::uint8_t> stale = bytes;
     stale[8] = old_version;
     try {

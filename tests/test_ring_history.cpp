@@ -1,16 +1,22 @@
-// Bounded ring-buffer history contract (PR 9): capping per-process sample
-// history must change MEMORY, never statistics or determinism. Pre-wrap a
-// bounded system is indistinguishable from unbounded; post-wrap the
-// history_view() span pair reads the last `capacity` samples oldest-first,
-// streaming window statistics stay bit-identical (the accumulator folds
-// every sample regardless of retention), engine runs on summary-driven
-// detectors are unaffected, and a bounded snapshot round-trips through the
-// v4 image (linearized oldest-first) byte-identically.
+// History ring contract: every process keeps its newest
+// ml::kHistoryWindow samples in a fixed ring, and that must change MEMORY,
+// never statistics or determinism. The oracle is a trace recorded epoch
+// by epoch (last_sample() after every run_epoch()): before the ring fills
+// sample_history() is the whole trace; after it wraps, the older/newer
+// span pair reads the trace's last kHistoryWindow samples oldest-first;
+// streaming window statistics equal an accumulator fed the whole trace
+// (the accumulator folds every sample regardless of retention); engine
+// runs on summary-driven detectors never read the ring; a detector
+// attached after the ring wrapped catches up over the retained samples
+// and then folds one vote per epoch; and a wrapped-ring snapshot
+// round-trips through the v6 image (linearized oldest-first)
+// byte-identically.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,13 +25,19 @@
 #include "core/actuator.hpp"
 #include "core/valkyrie.hpp"
 #include "ml/mlp.hpp"
+#include "ml/svm.hpp"
+#include "ml/window_accumulator.hpp"
 #include "sim/system.hpp"
+#include "snapshot/registry.hpp"
 #include "snapshot/snapshot.hpp"
 #include "util/rng.hpp"
+#include "util/serial.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace valkyrie {
 namespace {
+
+using ml::kHistoryWindow;
 
 hpc::HpcSignature benign_signature() {
   hpc::HpcSignature sig;
@@ -76,41 +88,37 @@ void expect_same_sample(const hpc::HpcSample& a, const hpc::HpcSample& b,
   EXPECT_EQ(a.counts, b.counts) << what << " sample " << i;
 }
 
-/// Twin systems stepped in lockstep: one unbounded, one capped at `cap`.
-struct TwinSystems {
-  sim::SimSystem unbounded;
-  sim::SimSystem bounded;
+/// A system stepped epoch by epoch, recording each process's sample after
+/// every epoch: the whole trace the ring is checked against.
+struct RecordedSystem {
+  sim::SimSystem sys;
   std::vector<sim::ProcessId> pids;
+  std::map<sim::ProcessId, std::vector<hpc::HpcSample>> trace;
 
-  explicit TwinSystems(std::size_t cap, int processes = 6) {
-    bounded.enable_bounded_history(cap);
+  explicit RecordedSystem(int processes = 6) {
     for (int i = 0; i < processes; ++i) {
       const hpc::HpcSignature sig =
           i % 3 == 1 ? attack_signature() : benign_signature();
-      const sim::ProcessId a =
-          unbounded.spawn(std::make_unique<SigWorkload>(sig));
-      const sim::ProcessId b =
-          bounded.spawn(std::make_unique<SigWorkload>(sig));
-      EXPECT_EQ(a, b);
-      pids.push_back(a);
+      pids.push_back(sys.spawn(std::make_unique<SigWorkload>(sig)));
     }
   }
 
   void run(int epochs) {
     for (int e = 0; e < epochs; ++e) {
-      unbounded.run_epoch();
-      bounded.run_epoch();
+      sys.run_epoch();
+      for (const sim::ProcessId pid : pids) {
+        trace[pid].push_back(sys.last_sample(pid));
+      }
     }
   }
 };
 
-TEST(RingHistory, PreWrapIdenticalToUnbounded) {
-  constexpr std::size_t kCap = 32;
-  TwinSystems twins(kCap);
-  twins.run(20);  // well under the cap
-  for (const sim::ProcessId pid : twins.pids) {
-    const auto& full = twins.unbounded.sample_history(pid);
-    const sim::SimSystem::HistoryView view = twins.bounded.history_view(pid);
+TEST(RingHistory, PreWrapHistoryIsTheWholeTrace) {
+  RecordedSystem rec;
+  rec.run(20);  // well under the ring
+  for (const sim::ProcessId pid : rec.pids) {
+    const std::vector<hpc::HpcSample>& full = rec.trace[pid];
+    const sim::SimSystem::HistoryView view = rec.sys.sample_history(pid);
     ASSERT_EQ(view.size(), full.size());
     EXPECT_TRUE(view.newer.empty()) << "no wrap may have happened yet";
     for (std::size_t i = 0; i < full.size(); ++i) {
@@ -119,44 +127,48 @@ TEST(RingHistory, PreWrapIdenticalToUnbounded) {
   }
 }
 
-TEST(RingHistory, PostWrapViewIsTheSuffixOfTheUnboundedRun) {
-  constexpr std::size_t kCap = 24;
-  TwinSystems twins(kCap);
-  twins.run(100);  // wraps several times
-  for (const sim::ProcessId pid : twins.pids) {
-    const auto& full = twins.unbounded.sample_history(pid);
-    ASSERT_EQ(full.size(), 100u);
-    const sim::SimSystem::HistoryView view = twins.bounded.history_view(pid);
-    ASSERT_EQ(view.size(), kCap) << "retention is exactly the cap";
+TEST(RingHistory, PostWrapViewIsTheSuffixOfTheTrace) {
+  RecordedSystem rec;
+  rec.run(200);  // wraps several times
+  for (const sim::ProcessId pid : rec.pids) {
+    const std::vector<hpc::HpcSample>& full = rec.trace[pid];
+    ASSERT_EQ(full.size(), 200u);
+    const sim::SimSystem::HistoryView view = rec.sys.sample_history(pid);
+    ASSERT_EQ(view.size(), kHistoryWindow) << "retention is exactly the ring";
     EXPECT_FALSE(view.newer.empty()) << "the ring must actually have wrapped";
-    const std::size_t offset = full.size() - kCap;
-    for (std::size_t i = 0; i < kCap; ++i) {
+    const std::size_t offset = full.size() - kHistoryWindow;
+    for (std::size_t i = 0; i < kHistoryWindow; ++i) {
       expect_same_sample(view[i], full[offset + i], "post-wrap", i);
     }
-    // The raw buffer still holds the same kCap samples (rotated), so
-    // retired-observability consumers lose nothing.
-    EXPECT_EQ(twins.bounded.sample_history(pid).size(), kCap);
+    // The copied-out form is the same suffix, oldest first.
+    const std::vector<hpc::HpcSample> copy = view.to_vector();
+    ASSERT_EQ(copy.size(), kHistoryWindow);
+    for (std::size_t i = 0; i < kHistoryWindow; ++i) {
+      expect_same_sample(copy[i], full[offset + i], "to_vector", i);
+    }
   }
 }
 
-TEST(RingHistory, WindowStatisticsUnaffectedByBounding) {
-  constexpr std::size_t kCap = 16;
-  TwinSystems twins(kCap);
-  twins.run(80);  // stats fold 80 samples; ring retains 16
-  for (const sim::ProcessId pid : twins.pids) {
-    const ml::WindowSummary a = twins.unbounded.window_summary(pid);
-    const ml::WindowSummary b = twins.bounded.window_summary(pid);
+TEST(RingHistory, WindowStatisticsCoverTheWholeTrace) {
+  RecordedSystem rec;
+  rec.run(160);  // stats fold 160 samples; the ring retains 64
+  for (const sim::ProcessId pid : rec.pids) {
+    const std::vector<hpc::HpcSample>& full = rec.trace[pid];
+    ml::WindowAccumulator oracle;
+    for (const hpc::HpcSample& sample : full) oracle.add(sample);
+    const ml::WindowSummary a = oracle.summary();
+    const ml::WindowSummary b = rec.sys.window_summary(pid);
     EXPECT_EQ(a.count, b.count);
+    EXPECT_EQ(b.count, 160u);
     for (std::size_t f = 0; f < hpc::kFeatureDim; ++f) {
       EXPECT_TRUE(same_bits(a.newest[f], b.newest[f])) << "feature " << f;
       EXPECT_TRUE(same_bits(a.mean[f], b.mean[f])) << "feature " << f;
       EXPECT_TRUE(same_bits(a.stddev[f], b.stddev[f])) << "feature " << f;
     }
-    // The bounded summary's raw window reads through the span pair and
-    // must cover exactly the retained ring, newest measurement last.
+    // The summary's raw window reads through the span pair and must cover
+    // exactly the retained ring, newest measurement last.
     const std::size_t total = b.window_total();
-    EXPECT_EQ(total, kCap);
-    const auto& full = twins.unbounded.sample_history(pid);
+    EXPECT_EQ(total, kHistoryWindow);
     for (std::size_t i = 0; i < total; ++i) {
       expect_same_sample(b.window_at(i), full[full.size() - total + i],
                          "summary window", i);
@@ -201,7 +213,11 @@ void scripted_spawn(sim::SimSystem& sys, core::ValkyrieEngine& engine) {
   }
   const sim::ProcessId pid = sys.spawn(std::move(workload));
   if (ordinal % 7 != 3) {
-    engine.attach(pid, core::ValkyrieConfig{},
+    // Every other process is held suspicious (never terminated), so the
+    // run keeps processes long enough to wrap their rings.
+    core::ValkyrieConfig config;
+    if (ordinal % 2 == 0) config.required_measurements = 1'000'000;
+    engine.attach(pid, config,
                   std::make_unique<core::SchedulerWeightActuator>());
   }
 }
@@ -219,35 +235,159 @@ void scripted_epoch(sim::SimSystem& sys, core::ValkyrieEngine& engine) {
   engine.step();
 }
 
+/// Forwards to a summary detector with the raw window stripped: an engine
+/// run through it can only match the plain run if the retained ring never
+/// reaches a decision.
+class WindowBlind final : public ml::Detector {
+ public:
+  explicit WindowBlind(const ml::Detector& inner) : inner_(inner) {}
+  [[nodiscard]] std::string_view name() const override {
+    return "window-blind";
+  }
+  [[nodiscard]] ml::Inference infer(
+      std::span<const hpc::HpcSample> /*window*/) const override {
+    ADD_FAILURE() << "the raw-window path must not be reached";
+    return ml::Inference::kBenign;
+  }
+  [[nodiscard]] ml::Inference infer(
+      const ml::WindowSummary& summary) const override {
+    ml::WindowSummary blind = summary;
+    blind.window = {};
+    blind.window_wrap = {};
+    return inner_.infer(blind);
+  }
+
+ private:
+  const ml::Detector& inner_;
+};
+
 TEST(RingHistory, EngineThreatTrajectoryUnaffectedOnSummaryDetector) {
-  // The MLP classifies window SUMMARIES, which bounding never changes —
-  // so a bounded engine run must land on identical monitor state even
-  // after the rings wrap many times, through churn and recycling.
+  // The MLP classifies window SUMMARIES, so an engine run must land on
+  // identical monitor state whether the detector is handed the ring or
+  // no raw window at all — even after the rings wrap, through churn and
+  // recycling.
   const ml::MlpDetector detector =
       ml::MlpDetector::make_small_ann(training_corpus(), 0x5eed);
-  sim::SimSystem unbounded;
-  sim::SimSystem bounded;
-  bounded.enable_bounded_history(16);
-  core::ValkyrieEngine engine_u(unbounded, detector, 2);
-  core::ValkyrieEngine engine_b(bounded, detector, 2);
+  const WindowBlind blind(detector);
+  sim::SimSystem ringed;
+  sim::SimSystem stripped;
+  core::ValkyrieEngine engine_r(ringed, detector, 2);
+  core::ValkyrieEngine engine_s(stripped, blind, 2);
   for (int i = 0; i < 8; ++i) {
-    scripted_spawn(unbounded, engine_u);
-    scripted_spawn(bounded, engine_b);
+    scripted_spawn(ringed, engine_r);
+    scripted_spawn(stripped, engine_s);
   }
-  unbounded.reserve_history(130);
-  for (int epoch = 0; epoch < 120; ++epoch) {
-    scripted_epoch(unbounded, engine_u);
-    scripted_epoch(bounded, engine_b);
+  for (int epoch = 0; epoch < 160; ++epoch) {
+    scripted_epoch(ringed, engine_r);
+    scripted_epoch(stripped, engine_s);
   }
-  ASSERT_EQ(unbounded.live_processes().size(),
-            bounded.live_processes().size());
-  for (const sim::ProcessId pid : unbounded.live_processes()) {
-    ASSERT_EQ(engine_u.is_attached(pid), engine_b.is_attached(pid));
-    if (!engine_u.is_attached(pid)) continue;
-    EXPECT_EQ(engine_u.monitor(pid).threat(), engine_b.monitor(pid).threat())
+  ASSERT_EQ(ringed.live_processes().size(), stripped.live_processes().size());
+  std::size_t wrapped = 0;
+  for (const sim::ProcessId pid : ringed.live_processes()) {
+    wrapped += !ringed.sample_history(pid).newer.empty();
+    ASSERT_EQ(engine_r.is_attached(pid), engine_s.is_attached(pid));
+    if (!engine_r.is_attached(pid)) continue;
+    EXPECT_EQ(engine_r.monitor(pid).threat(), engine_s.monitor(pid).threat())
         << "pid " << pid;
-    EXPECT_EQ(engine_u.monitor(pid).state(), engine_b.monitor(pid).state())
+    EXPECT_EQ(engine_r.monitor(pid).state(), engine_s.monitor(pid).state())
         << "pid " << pid;
+  }
+  EXPECT_GT(wrapped, 0u) << "no live ring wrapped";
+}
+
+/// Hand count of `detector`'s per-measurement votes over `samples`.
+std::size_t hand_votes(const ml::Detector& detector,
+                       std::span<const hpc::HpcSample> samples) {
+  std::size_t malicious = 0;
+  for (const hpc::HpcSample& sample : samples) {
+    malicious += detector.measurement_vote(hpc::to_features(sample)) ? 1 : 0;
+  }
+  return malicious;
+}
+
+ml::Inference hand_verdict(std::size_t malicious, std::size_t voted,
+                           double fraction) {
+  return static_cast<double>(malicious) > fraction * static_cast<double>(voted)
+             ? ml::Inference::kMalicious
+             : ml::Inference::kBenign;
+}
+
+TEST(RingHistory, LateAttachCatchesUpOverTheRingThenFolds) {
+  // A vote detector attached at epoch 100 sees only the 64 retained
+  // samples. It must vote those, compare against the 64 it voted, and from
+  // the next epoch on take the one-vote can_fold step — matching a hand
+  // count over the recorded trace's suffix every epoch.
+  const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
+  const double fraction = *detector.vote_fraction();
+  RecordedSystem rec;
+  rec.run(100);
+  std::map<sim::ProcessId, ml::StreamingInference> streams;
+  std::map<sim::ProcessId, std::size_t> malicious;
+  std::size_t flagged = 0;
+  for (const sim::ProcessId pid : rec.pids) {
+    const std::vector<hpc::HpcSample>& full = rec.trace[pid];
+    ml::StreamingInference& stream = streams[pid];
+    const ml::WindowSummary summary = rec.sys.window_summary(pid);
+    ASSERT_EQ(summary.count, 100u);
+    ASSERT_FALSE(stream.can_fold(summary.count)) << "this is a catch-up";
+    const ml::Inference got = stream.infer(detector, summary);
+    malicious[pid] = hand_votes(
+        detector, std::span<const hpc::HpcSample>(full).last(kHistoryWindow));
+    EXPECT_EQ(stream.counted(), 100u);
+    EXPECT_EQ(stream.voted(), kHistoryWindow);
+    EXPECT_EQ(stream.malicious_count(), malicious[pid]);
+    EXPECT_EQ(got, hand_verdict(malicious[pid], kHistoryWindow, fraction));
+    flagged += got == ml::Inference::kMalicious;
+  }
+  EXPECT_GT(flagged, 0u) << "the attack processes must be flagged";
+  for (int epoch = 1; epoch <= 40; ++epoch) {
+    rec.run(1);
+    for (const sim::ProcessId pid : rec.pids) {
+      ml::StreamingInference& stream = streams[pid];
+      const ml::WindowSummary summary = rec.sys.window_summary(pid);
+      ASSERT_TRUE(stream.can_fold(summary.count))
+          << "pid " << pid << " did not rejoin the running counts";
+      malicious[pid] += detector.measurement_vote(
+          hpc::to_features(rec.trace[pid].back()));
+      const std::size_t voted = kHistoryWindow + epoch;
+      EXPECT_EQ(stream.infer(detector, summary),
+                hand_verdict(malicious[pid], voted, fraction));
+      EXPECT_EQ(stream.voted(), voted);
+      EXPECT_EQ(stream.counted(), 100u + epoch);
+    }
+  }
+}
+
+TEST(RingHistory, EngineLateAttachRejoinsTheRunningCounts) {
+  // The engine's batched step folds a vote only when can_fold holds; a
+  // late attach must get there after its one catch-up epoch, or every
+  // later epoch re-votes the ring. The snapshot's stream counts show it.
+  const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
+  sim::SimSystem sys;
+  core::ValkyrieEngine engine(sys, detector, 2);
+  std::vector<sim::ProcessId> pids;
+  for (int i = 0; i < 6; ++i) {
+    pids.push_back(sys.spawn(std::make_unique<SigWorkload>(
+        i % 3 == 1 ? attack_signature() : benign_signature())));
+  }
+  for (int epoch = 0; epoch < 100; ++epoch) engine.step();
+  core::ValkyrieConfig config;
+  config.required_measurements = 1'000'000;  // observe, never terminate
+  for (const sim::ProcessId pid : pids) {
+    engine.attach(pid, config,
+                  std::make_unique<core::SchedulerWeightActuator>());
+  }
+  // Step 1 catches up over the 64 retained samples (its own included);
+  // every later step folds exactly one vote.
+  for (int epoch = 1; epoch <= 20; ++epoch) {
+    engine.step();
+    const snapshot::EngineImage image = engine.snapshot_state();
+    ASSERT_EQ(image.attachments.size(), pids.size());
+    for (const snapshot::AttachmentImage& att : image.attachments) {
+      EXPECT_EQ(att.stream_counted, 100u + epoch) << "pid " << att.pid;
+      EXPECT_EQ(att.stream_voted, kHistoryWindow + epoch - 1)
+          << "pid " << att.pid;
+    }
   }
 }
 
@@ -256,39 +396,56 @@ TEST(RingHistory, SnapshotRoundTripContinuesByteIdentically) {
       ml::MlpDetector::make_small_ann(training_corpus(), 0x5eed);
 
   sim::SimSystem golden_sys;
-  golden_sys.enable_bounded_history(20);
   core::ValkyrieEngine golden(golden_sys, detector, 2);
   for (int i = 0; i < 8; ++i) scripted_spawn(golden_sys, golden);
-  for (int epoch = 0; epoch < 70; ++epoch) scripted_epoch(golden_sys, golden);
+  for (int epoch = 0; epoch < 100; ++epoch) scripted_epoch(golden_sys, golden);
+  std::size_t wrapped = 0;
+  for (const sim::ProcessId pid : golden_sys.live_processes()) {
+    wrapped += !golden_sys.sample_history(pid).newer.empty();
+  }
+  ASSERT_GT(wrapped, 0u) << "the image must carry wrapped rings";
   const std::vector<std::uint8_t> mid =
       snapshot::encode(snapshot::capture(golden));
   for (int epoch = 0; epoch < 50; ++epoch) scripted_epoch(golden_sys, golden);
   const std::vector<std::uint8_t> want =
       snapshot::encode(snapshot::capture(golden));
 
-  // The v4 image carries the capacity; the restored system re-arms the
-  // bound without the caller asking (fresh system, no pre-enable), and the
-  // linearized rings replay byte-identically.
+  // The image carries every ring linearized oldest-first; a restored ring
+  // resumes overwriting at its oldest sample, and the run replays
+  // byte-identically.
   const snapshot::SnapshotImage image = snapshot::parse(mid);
-  EXPECT_EQ(image.system.history_capacity, 20u);
+  std::size_t full = 0;
+  for (const snapshot::ProcImage& proc : image.system.procs) {
+    ASSERT_LE(proc.history.size(), kHistoryWindow);
+    full += proc.history.size() == kHistoryWindow;
+  }
+  EXPECT_GT(full, 0u);
   sim::SimSystem sys2;
   core::ValkyrieEngine engine2(sys2, detector, 8);
   snapshot::restore(image, engine2, snapshot::RestoreContext{});
-  EXPECT_EQ(sys2.history_capacity(), 20u);
+  EXPECT_EQ(mid, snapshot::encode(snapshot::capture(engine2)));
   for (int epoch = 0; epoch < 50; ++epoch) scripted_epoch(sys2, engine2);
   EXPECT_EQ(want, snapshot::encode(snapshot::capture(engine2)));
 }
 
-TEST(RingHistory, EnableValidatesItsPreconditions) {
+TEST(RingHistory, RestoreRejectsAHistoryLongerThanTheRing) {
   sim::SimSystem sys;
-  EXPECT_THROW(sys.enable_bounded_history(0), std::invalid_argument);
-  (void)sys.spawn(std::make_unique<SigWorkload>(benign_signature()));
+  const sim::ProcessId pid =
+      sys.spawn(std::make_unique<workloads::BenchmarkWorkload>(
+          workloads::all_single_threaded().front()));
   for (int i = 0; i < 10; ++i) sys.run_epoch();
-  // A history longer than the requested cap cannot be bounded in place.
-  EXPECT_THROW(sys.enable_bounded_history(4), std::logic_error);
-  // A cap that still fits is fine.
-  sys.enable_bounded_history(64);
-  EXPECT_EQ(sys.history_capacity(), 64u);
+  snapshot::SystemImage image = sys.snapshot_state();
+  ASSERT_EQ(image.procs.size(), 1u);
+  ASSERT_EQ(image.procs[0].pid, pid);
+  image.procs[0].history.resize(kHistoryWindow + 1);
+  sim::SimSystem target;
+  try {
+    target.restore_from(image, snapshot::WorkloadRegistry::bundled());
+    FAIL() << "a 65-sample history was accepted";
+  } catch (const util::SerialError& err) {
+    EXPECT_EQ(err.code(), util::SerialError::Code::kMalformed);
+  }
+  EXPECT_EQ(target.total_spawned(), 0u) << "a failed restore mutates nothing";
 }
 
 }  // namespace

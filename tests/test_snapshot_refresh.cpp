@@ -3,7 +3,7 @@
 // captured 0, 1 or 2 checkpoints earlier and refreshed in place must
 // encode to exactly the bytes of a fresh capture. The runs cover what can
 // change a cold row between two captures: churn with scheduled and policy
-// kills, retention reclaim, history recycling, a bounded ring that wraps,
+// kills, retention reclaim, history recycling, history rings that wrap,
 // sensor-fault quarantine (a sample dropped rather than appended), cgroup
 // writes routed to pending and retired pids, mutable access to a retired
 // workload, and restores (whose images must never be trusted across).
@@ -104,10 +104,9 @@ class Oracle {
     // Nothing changed since, so only full rings (copied whole, since a
     // wrap overwrites in place) are rebuilt.
     std::uint64_t full_rings = 0;
-    const std::uint64_t cap = one_.system.history_capacity;
     for (const ProcImage& proc : one_.system.procs) {
-      full_rings += cap != 0 && proc.slot != kRetired &&
-                    proc.history.size() == cap;
+      full_rings += proc.slot != kRetired &&
+                    proc.history.size() == ml::kHistoryWindow;
     }
     EXPECT_EQ(again.rows_rebuilt, full_rings);
     if (checks_ % 2 == 1) {
@@ -158,15 +157,18 @@ TEST(SnapshotRefresh, ChurnRunRefreshesToFreshCaptureBytes) {
   faults.sensor.dropout_rate = 0.05;
   faults.sensor.stuck_rate = 0.02;
   sim::SimSystem sys;
-  sys.enable_bounded_history(10);  // long-lived rows wrap their rings
   sys.enable_retirement_retention(6);
   sys.arm_sensor_faults(&faults);
   core::ValkyrieEngine engine(sys, detector, 2);
-  sim::ScenarioDriver driver(engine, churn_script());
+  // Lifetimes long enough, and a run long enough, that rows outlive their
+  // history rings and wrap them.
+  sim::ScenarioScript script = churn_script();
+  script.mean_lifetime = 40.0;
+  sim::ScenarioDriver driver(engine, std::move(script));
 
   Oracle oracle;
   std::size_t retired_writes = 0;
-  for (int epoch = 0; epoch < 60; ++epoch) {
+  for (int epoch = 0; epoch < 100; ++epoch) {
     driver.step();
     if (epoch % 3 == 2) {
       // Boundary-serial writes to rows an earlier capture saw retired.
@@ -188,11 +190,16 @@ TEST(SnapshotRefresh, ChurnRunRefreshesToFreshCaptureBytes) {
   EXPECT_GT(retired_writes, 0u);
   EXPECT_LT(sys.tracked_processes(), sys.total_spawned()) << "no reclaim";
   EXPECT_GT(oracle.reused(), 0u) << "no row was ever reused";
-  std::size_t wrapped = 0;
+  std::size_t full = 0;
   for (const ProcImage& proc : oracle.one().system.procs) {
-    wrapped += proc.history.size() == 10;
+    full += proc.history.size() == ml::kHistoryWindow;
   }
-  EXPECT_GT(wrapped, 0u) << "no ring filled";
+  EXPECT_GT(full, 0u) << "no ring filled";
+  std::size_t wrapped = 0;
+  for (const sim::ProcessId pid : sys.live_processes()) {
+    wrapped += !sys.sample_history(pid).newer.empty();
+  }
+  EXPECT_GT(wrapped, 0u) << "no live ring wrapped";
 }
 
 TEST(SnapshotRefresh, PendingRetiredAndCancelledWritesAreSeen) {

@@ -354,13 +354,25 @@ TEST(SnapshotGolden, EncodedBytesMatchPinnedDigest) {
   }
   EXPECT_GT(throttled, 0u);
 
+  // 40 epochs never wrap a ring, and every process is attached at spawn,
+  // so each vote denominator is its measurement count: against the v5
+  // pin (405725 B), only the format word, the dropped ring-capacity field
+  // (-8 B) and the two voted counts per attachment (+59 x 16 B) moved.
+  for (const snapshot::ProcImage& proc : image.system.procs) {
+    EXPECT_LT(proc.history.size(), ml::kHistoryWindow);
+  }
+  for (const snapshot::AttachmentImage& att : image.engine.attachments) {
+    EXPECT_EQ(att.stream_voted, att.stream_counted);
+    EXPECT_EQ(att.terminal_voted, att.terminal_counted);
+  }
+  EXPECT_EQ(image.engine.attachments.size(), 59u);
+
   const std::vector<std::uint8_t> bytes = snapshot::encode(image);
   EXPECT_EQ(snapshot::encoded_size(image), bytes.size());
-  // This world's v5 encoding as the per-byte writer and bytewise CRC
-  // produced it: any drift in the byte layout moves these.
-  EXPECT_EQ(bytes.size(), 405725u);
-  EXPECT_EQ(util::crc32(bytes), 0x3730e9e8u);
-  EXPECT_EQ(util::fnv1a(bytes), 0xd704cfd97dc4ebfeULL);
+  // This world's v6 encoding: any drift in the byte layout moves these.
+  EXPECT_EQ(bytes.size(), 406661u);
+  EXPECT_EQ(util::crc32(bytes), 0xc6242b9eu);
+  EXPECT_EQ(util::fnv1a(bytes), 0x19717229503281a2ULL);
 }
 
 }  // namespace
